@@ -9,7 +9,7 @@
 //! double-checked `RwLock` path in `AttrId::intern` races constantly.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -18,6 +18,14 @@ use layercake_event::AttrId;
 const THREADS: usize = 8;
 const NAMES: usize = 200;
 const ROUNDS: usize = 50;
+
+/// Serializes the tests in this binary: `universe_size` is global, so a
+/// test counting its growth must not run beside another that interns.
+static INTERNER: Mutex<()> = Mutex::new(());
+
+fn lock_interner() -> MutexGuard<'static, ()> {
+    INTERNER.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The shared name universe. Every thread interns every name, but in a
 /// thread-specific order and interleaving, so first-intern races happen
@@ -28,6 +36,7 @@ fn universe() -> Vec<String> {
 
 #[test]
 fn concurrent_interning_agrees_and_terminates() {
+    let _serial = lock_interner();
     let names = Arc::new(universe());
     let barrier = Arc::new(Barrier::new(THREADS));
     let start = Instant::now();
@@ -96,6 +105,7 @@ fn concurrent_interning_agrees_and_terminates() {
 
 #[test]
 fn universe_size_is_monotonic_under_concurrency() {
+    let _serial = lock_interner();
     let before = AttrId::universe_size();
     let handles: Vec<_> = (0..4)
         .map(|t| {

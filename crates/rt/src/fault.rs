@@ -19,6 +19,10 @@
 //!   -clock instant each drop lands at does not. The deterministic
 //!   simulator remains the reference for schedule-exact chaos replay.
 //!
+//! Frame counts are of received *wire* frames, one per message: a
+//! coalesced channel frame advances them once per message it carries,
+//! so a plan hits the same message however the sender batched it.
+//!
 //! Injected faults are counted in `rt.faults_injected`
 //! ([`crate::RtStats::faults_injected`]); injected link drops also add
 //! to the `rt.frames_dropped` loss ledger, since unlike panics and
@@ -217,7 +221,7 @@ impl FaultState {
         !self.shards.is_empty()
     }
 
-    /// Consulted by a broker shard thread for each received frame
+    /// Consulted by a node thread before each received wire frame
     /// (`count` is the generation-local 1-based frame number).
     pub(crate) fn frame_action(&self, broker: usize, shard: usize, count: u64) -> FaultAction {
         if self.disarmed.load(Ordering::Relaxed) {

@@ -24,6 +24,27 @@
 //! setup ([`Runtime::add_subscriber_any`] blocks until the walk
 //! finishes) before any data flows.
 //!
+//! # Egress coalescing
+//!
+//! A broker shard blocks for one frame, then keeps taking whatever is
+//! already queued (`try_recv`) until its inbox is empty or the batch
+//! holds [`DRAIN_CAP`] messages. Each data message it sends meanwhile
+//! is encoded straight into a per-destination buffer — keyed by (node,
+//! class shard) for a broker and by node for a subscriber — and every
+//! buffer leaves as *one* channel frame when the batch ends: one channel
+//! send (or one socket write) per downstream instead of one per message.
+//! The frame is a plain concatenation of complete wire frames, so the
+//! receiving decoder reads it unchanged; receivers still handle, count
+//! and fault-check it message by message.
+//!
+//! The outbox is flushed before every non-data send (so each link keeps
+//! the per-thread FIFO order it had when every message went out on its
+//! own), before the thread blocks or sleeps, and on every exit, panics
+//! included. There is no flush timer: a message never waits for
+//! anything but the rest of the batch its thread is already draining,
+//! so an idle runtime sends exactly as it did before, and batches grow
+//! only when a backlog does.
+//!
 //! # Supervision
 //!
 //! Every node thread body runs under `catch_unwind`. A panicking or
@@ -49,11 +70,13 @@
 //! [`Runtime::shutdown`] stops the supervisor (force-completing pending
 //! restarts), then poisons and joins stage by stage from the root down:
 //! each thread receiving the poison pill drains everything still queued
-//! in its inbox, then exits. Since a stage is joined before the next one
-//! down is poisoned, every data frame forwarded downward is already
-//! enqueued at its destination when that destination drains — published
-//! events are never lost at shutdown. Subscribers drain last.
+//! in its inbox, flushes its outbox, then exits. Since a stage is joined
+//! before the next one down is poisoned, every data frame forwarded
+//! downward is already enqueued at its destination when that destination
+//! drains — published events are never lost at shutdown. Subscribers
+//! drain last.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
@@ -61,12 +84,15 @@ use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use layercake_event::{Advertisement, Envelope, TraceContext, TraceId, TypeRegistry};
+use layercake_event::{
+    Advertisement, DecodeDict, DictMode, EncodeDict, Envelope, TraceContext, TraceId, TypeRegistry,
+    FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+};
 use layercake_filter::{Filter, FilterId};
 use layercake_metrics::{DurabilityStats, Gauge, HistogramSample, PipelineStage, StageProfiler};
 use layercake_overlay::topology::{self, TopologyNode};
@@ -94,6 +120,19 @@ pub(crate) const EXTERNAL: ActorId = ActorId(usize::MAX);
 /// How long an idle node thread sleeps in `recv_timeout` before checking
 /// timers again.
 const IDLE_TICK: Duration = Duration::from_millis(5);
+
+/// A broker shard stops draining its inbox once the batch holds this
+/// many wire messages (frames are never split), then flushes: bounds how
+/// long a coalesced message waits for the rest of its batch.
+const DRAIN_CAP: usize = 64;
+
+/// A destination's batch is sent as soon as it holds this many bytes,
+/// bounding each buffer a thread keeps between batches.
+const COALESCE_BYTES: usize = 16 * 1024;
+
+/// The largest channel frame coalescing produces: a batch just short of
+/// [`COALESCE_BYTES`] plus one maximal wire frame.
+pub(crate) const MAX_CHANNEL_FRAME: usize = COALESCE_BYTES + FRAME_HEADER_LEN + MAX_FRAME_PAYLOAD;
 
 /// Configuration for [`Runtime::start`].
 #[derive(Debug, Clone)]
@@ -242,17 +281,24 @@ pub(crate) enum FrameTag {
     Ack,
 }
 
-/// One framed wire message in flight between node threads.
+/// One channel frame in flight between node threads: one or more
+/// complete wire frames, back to back (see the module docs on egress
+/// coalescing).
+#[derive(Clone)]
 pub(crate) struct Frame {
     pub(crate) bytes: Vec<u8>,
-    /// Nanoseconds since runtime start at enqueue time; `0` when the
-    /// stage profiler is off (the receiver then skips the ingress-wait
-    /// stage rather than misreading an unstamped frame).
+    /// Wire messages in `bytes`. The loss and requeue ledgers count
+    /// these, so they stay per message however frames are coalesced.
+    pub(crate) msgs: u32,
+    /// Nanoseconds since runtime start at enqueue time of the frame's
+    /// oldest message; `0` when the stage profiler is off (the receiver
+    /// then skips the ingress-wait stage rather than misreading an
+    /// unstamped frame).
     pub(crate) enqueued_ns: u64,
     pub(crate) tag: FrameTag,
 }
 
-/// What a node thread receives: either one framed wire message or the
+/// What a node thread receives: either one channel frame or the
 /// shutdown poison pill.
 pub(crate) enum RtEvent {
     Frame(Frame),
@@ -274,6 +320,46 @@ enum Route {
     },
 }
 
+/// A node thread's egress state: the encode dictionary plus one pending
+/// batch of data messages per destination slot. Data messages are
+/// encoded straight into their batch; [`Router::flush`] sends every
+/// non-empty batch as one channel frame.
+struct Outbox {
+    dict: EncodeDict,
+    /// One entry per `(node, slot)` this thread has sent data to, kept
+    /// (with its buffer) across flushes. A thread talks to a handful of
+    /// destinations, so a linear scan beats hashing.
+    batches: Vec<Batch>,
+}
+
+struct Batch {
+    to: ActorId,
+    /// The destination's class shard for a broker, `0` for a subscriber.
+    slot: u32,
+    bytes: Vec<u8>,
+    msgs: u32,
+    enqueued_ns: u64,
+    /// Whether a stage-sampled message joined the batch: its send is
+    /// then timed as [`PipelineStage::EgressSend`].
+    sampled: bool,
+}
+
+impl Outbox {
+    fn new() -> Self {
+        Self {
+            dict: EncodeDict::new(DictMode::Shared),
+            batches: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    /// The outbox behind [`Router::send_now`], for callers outside node
+    /// threads (publishers, setup traffic); flushed on every send, so
+    /// only its buffers persist.
+    static SEND_NOW: RefCell<Outbox> = RefCell::new(Outbox::new());
+}
+
 /// The routing table: node id → channel(s). Subscribers register after
 /// broker threads are already running, hence the lock; sends take a read
 /// lock, which is uncontended in steady state.
@@ -286,6 +372,10 @@ enum Route {
 #[derive(Clone)]
 pub(crate) struct Router {
     routes: Arc<RwLock<Vec<Option<Route>>>>,
+    /// Node ids below this are brokers; the rest are subscribers.
+    brokers: usize,
+    /// Matcher shards per broker ([`RtConfig::shards`]).
+    shards: usize,
     /// Captured control broadcasts per broker id (framed bytes, in send
     /// order), excluding the high-rate idempotent `AckUpto`. Replayed
     /// mutedly into a rebuilt shard so its filter table and placement
@@ -305,18 +395,21 @@ pub(crate) struct Router {
 
 impl Router {
     fn new(
-        capacity: usize,
+        brokers: usize,
+        shards: usize,
         epoch: Instant,
         codec: WireCodec,
         profiler: Arc<StageProfiler>,
         fault: Arc<FaultState>,
     ) -> Self {
-        let mut routes = Vec::with_capacity(capacity);
-        routes.resize_with(capacity, || None);
-        let mut ctrl = Vec::with_capacity(capacity);
-        ctrl.resize_with(capacity, || Mutex::new(Vec::new()));
+        let mut routes = Vec::with_capacity(brokers);
+        routes.resize_with(brokers, || None);
+        let mut ctrl = Vec::with_capacity(brokers);
+        ctrl.resize_with(brokers, || Mutex::new(Vec::new()));
         Self {
             routes: Arc::new(RwLock::new(routes)),
+            brokers,
+            shards,
             ctrl: Arc::new(ctrl),
             epoch,
             codec,
@@ -346,11 +439,11 @@ impl Router {
     }
 
     /// A send hitting a closed channel: the receiving thread is dead (or
-    /// deliberately dead-ended after give-up). Data frames count in the
-    /// loss ledger unless the runtime is tearing down.
-    fn note_send_failure(&self, stats: &RtStats, data: bool) {
-        if data && !self.teardown.load(Ordering::Relaxed) {
-            stats.inc_frames_dropped();
+    /// deliberately dead-ended after give-up). Data messages count in
+    /// the loss ledger unless the runtime is tearing down.
+    fn note_send_failure(&self, stats: &RtStats, tag: FrameTag, msgs: u32) {
+        if tag == FrameTag::Data && !self.teardown.load(Ordering::Relaxed) {
+            stats.add_frames_dropped(u64::from(msgs));
         }
     }
 
@@ -358,163 +451,239 @@ impl Router {
         self.teardown.store(true, Ordering::Relaxed);
     }
 
-    /// Serializes `msg` and delivers it: data frames go to the class
-    /// shard, control frames are broadcast to every shard. Sends to
+    /// The profiler's enqueue stamp: nanoseconds since runtime start
+    /// when the profiler is enabled at all, so the *receiver's* sampler
+    /// can measure ingress wait on frames whose send was not sampled.
+    fn enqueue_stamp(&self) -> u64 {
+        if self.profiler.enabled() {
+            nanos_since(self.epoch)
+        } else {
+            0
+        }
+    }
+
+    /// Sends `msg` from a node thread. Data messages are encoded into
+    /// `out`'s batch for their destination slot — the class shard of a
+    /// broker, or the subscriber — and leave at the next [`Router::flush`]
+    /// (or as soon as the batch reaches [`COALESCE_BYTES`]). Anything
+    /// else flushes the whole outbox first, so every link still sees this
+    /// thread's messages in the order they were sent, then goes out on
+    /// its own: control frames are broadcast to every shard. Sends to
     /// already-exited nodes fail soft (counted for data, silent for
     /// control/teardown).
     ///
-    /// When `sampled`, the encode and the routed send are timed into the
-    /// `Encode` / `EgressSend` pipeline stages. Independently of the
-    /// sample, frames are stamped with an enqueue timestamp whenever the
-    /// profiler is enabled at all, so the *receiver's* sampler can
-    /// measure ingress wait on frames whose send was not itself sampled.
-    pub(crate) fn dispatch(
+    /// When `sampled`, the encode is timed into the `Encode` pipeline
+    /// stage and the send that carries the message into `EgressSend`.
+    fn dispatch(
         &self,
+        out: &mut Outbox,
         from: ActorId,
         to: ActorId,
         msg: &OverlayMsg,
         stats: &RtStats,
         sampled: bool,
     ) {
-        if msg.is_data() && self.fault.should_drop(from.0, to.0) {
+        let Some(class) = data_class(msg) else {
+            self.flush(out, stats);
+            self.send_control(out, from, to, msg, stats, sampled);
+            return;
+        };
+        if self.fault.should_drop(from.0, to.0) {
             // An injected link drop: unlike a panic (whose in-flight
-            // frames the supervisor requeues), this frame is really
+            // frames the supervisor requeues), this message is really
             // gone, so it lands in both ledgers.
             stats.inc_faults_injected();
             stats.inc_frames_dropped();
             return;
         }
-        let encode_timer = sampled.then(Instant::now);
-        let bytes = match wire::encode_for_dispatch(self.codec, from, msg) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                // A message that cannot fit the frame cap: accounted and
-                // dropped here, never a panic in a node thread.
-                stats.inc_encode_errors();
-                return;
-            }
-        };
-        if let Some(t0) = encode_timer {
-            self.profiler.record(PipelineStage::Encode, elapsed_ns(t0));
-        }
-        let enqueued_ns = if self.profiler.enabled() {
-            nanos_since(self.epoch)
+        let slot = if to.0 < self.brokers {
+            shard_of(class, self.shards) as u32
         } else {
             0
         };
-        let send_timer = sampled.then(Instant::now);
+        let i = match out
+            .batches
+            .iter()
+            .position(|b| b.to == to && b.slot == slot)
+        {
+            Some(i) => i,
+            None => {
+                out.batches.push(Batch {
+                    to,
+                    slot,
+                    bytes: Vec::new(),
+                    msgs: 0,
+                    enqueued_ns: 0,
+                    sampled: false,
+                });
+                out.batches.len() - 1
+            }
+        };
+        let batch = &mut out.batches[i];
+        if !self.encode(from, msg, &mut out.dict, &mut batch.bytes, stats, sampled) {
+            return;
+        }
+        if batch.msgs == 0 {
+            batch.enqueued_ns = self.enqueue_stamp();
+        }
+        batch.msgs += 1;
+        batch.sampled |= sampled;
+        if batch.bytes.len() >= COALESCE_BYTES {
+            self.send_batch(batch, stats);
+        }
+    }
+
+    /// Sends one message on the spot — the path for publishers and setup
+    /// traffic, which have no inbox drain to batch behind.
+    fn send_now(&self, from: ActorId, to: ActorId, msg: &OverlayMsg, stats: &RtStats) {
+        SEND_NOW.with(|cell| {
+            let out = &mut *cell.borrow_mut();
+            self.dispatch(out, from, to, msg, stats, false);
+            self.flush(out, stats);
+        });
+    }
+
+    /// Sends every non-empty batch in `out` as one channel frame.
+    fn flush(&self, out: &mut Outbox, stats: &RtStats) {
+        for batch in &mut out.batches {
+            if batch.msgs > 0 {
+                self.send_batch(batch, stats);
+            }
+        }
+    }
+
+    fn send_batch(&self, batch: &mut Batch, stats: &RtStats) {
+        let frame = Frame {
+            bytes: batch.bytes.as_slice().to_vec(),
+            msgs: batch.msgs,
+            enqueued_ns: batch.enqueued_ns,
+            tag: FrameTag::Data,
+        };
+        batch.bytes.clear();
+        // An outsized message must not pin its buffer for the thread's
+        // lifetime.
+        batch.bytes.shrink_to(COALESCE_BYTES);
+        batch.msgs = 0;
+        let timer = std::mem::take(&mut batch.sampled).then(Instant::now);
+        self.send_frame(batch.to, batch.slot, frame, stats);
+        if let Some(t0) = timer {
+            self.profiler
+                .record(PipelineStage::EgressSend, elapsed_ns(t0));
+        }
+    }
+
+    /// Encodes `msg` onto `buf`; a message that cannot fit the frame cap
+    /// is accounted and dropped here, never a panic in a node thread.
+    fn encode(
+        &self,
+        from: ActorId,
+        msg: &OverlayMsg,
+        dict: &mut EncodeDict,
+        buf: &mut Vec<u8>,
+        stats: &RtStats,
+        sampled: bool,
+    ) -> bool {
+        let timer = sampled.then(Instant::now);
+        if wire::encode_msg_into(self.codec, from, msg, dict, buf).is_err() {
+            stats.inc_encode_errors();
+            return false;
+        }
+        if let Some(t0) = timer {
+            self.profiler.record(PipelineStage::Encode, elapsed_ns(t0));
+        }
+        true
+    }
+
+    /// Sends one control message: broadcast to every shard of a broker
+    /// (captured for restart replay unless it is an `AckUpto`), or to a
+    /// subscriber.
+    fn send_control(
+        &self,
+        out: &mut Outbox,
+        from: ActorId,
+        to: ActorId,
+        msg: &OverlayMsg,
+        stats: &RtStats,
+        sampled: bool,
+    ) {
+        let mut bytes = Vec::new();
+        if !self.encode(from, msg, &mut out.dict, &mut bytes, stats, sampled) {
+            return;
+        }
+        let (slot, tag) = if to.0 >= self.brokers {
+            (0, FrameTag::Ack)
+        } else if matches!(msg, OverlayMsg::AckUpto { .. }) {
+            (SHARD_BROADCAST, FrameTag::Ack)
+        } else {
+            let mut log = self.ctrl[to.0]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            log.push(bytes.clone());
+            (SHARD_BROADCAST, FrameTag::Ctrl(log.len() as u64 - 1))
+        };
+        let frame = Frame {
+            bytes,
+            msgs: 1,
+            enqueued_ns: self.enqueue_stamp(),
+            tag,
+        };
+        let timer = sampled.then(Instant::now);
+        self.send_frame(to, slot, frame, stats);
+        if let Some(t0) = timer {
+            self.profiler
+                .record(PipelineStage::EgressSend, elapsed_ns(t0));
+        }
+    }
+
+    /// Hands `frame` to node `to`: to shard `slot` of a broker (every
+    /// shard for [`SHARD_BROADCAST`]), or to a subscriber. `frames_sent`
+    /// and `bytes_sent` count wire messages, per shard copy;
+    /// `channel_sends` counts the hand-offs themselves.
+    fn send_frame(&self, to: ActorId, slot: u32, frame: Frame, stats: &RtStats) {
         let routes = self.read_routes();
         let Some(Some(route)) = routes.get(to.0) else {
             return;
         };
+        let (msgs, len, tag) = (frame.msgs, frame.bytes.len(), frame.tag);
+        let sent = |ok: bool| {
+            stats.inc_channel_sends();
+            if !ok {
+                self.note_send_failure(stats, tag, msgs);
+            }
+        };
         match route {
             Route::Subscriber { tx, link } => {
-                stats.note_frame_sent(bytes.len());
-                let tag = if msg.is_data() {
-                    FrameTag::Data
-                } else {
-                    FrameTag::Ack
-                };
-                let sent = match link {
-                    // Over TCP the subscriber is a one-shard node; the
-                    // link reader forwards into `tx` on arrival.
-                    Some(link) => link
-                        .send(LinkCmd::Frame {
-                            shard: 0,
-                            tag,
-                            enqueued_ns,
-                            bytes,
-                        })
-                        .is_ok(),
-                    None => tx
-                        .send(RtEvent::Frame(Frame {
-                            bytes,
-                            enqueued_ns,
-                            tag,
-                        }))
-                        .is_ok(),
-                };
-                if !sent {
-                    self.note_send_failure(stats, tag == FrameTag::Data);
-                }
+                stats.note_frames_sent(msgs, len);
+                // Over TCP the subscriber is a one-shard node; the link
+                // reader forwards into `tx` on arrival.
+                sent(match link {
+                    Some(link) => link.send(LinkCmd::Frame { shard: 0, frame }).is_ok(),
+                    None => tx.send(RtEvent::Frame(frame)).is_ok(),
+                });
             }
             Route::Broker { shards, link } => {
-                if let Some(class) = data_class(msg) {
-                    let shard = shard_of(class, shards.len());
-                    stats.note_frame_sent(bytes.len());
-                    let sent = match link {
-                        Some(link) => link
-                            .send(LinkCmd::Frame {
-                                shard: shard as u32,
-                                tag: FrameTag::Data,
-                                enqueued_ns,
-                                bytes,
-                            })
-                            .is_ok(),
-                        None => shards[shard]
-                            .send(RtEvent::Frame(Frame {
-                                bytes,
-                                enqueued_ns,
-                                tag: FrameTag::Data,
-                            }))
-                            .is_ok(),
-                    };
-                    if !sent {
-                        self.note_send_failure(stats, true);
-                    }
+                let copies = if slot == SHARD_BROADCAST {
+                    shards.len()
                 } else {
-                    let tag = if matches!(msg, OverlayMsg::AckUpto { .. }) {
-                        FrameTag::Ack
-                    } else {
-                        let mut log = self.ctrl[to.0]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner);
-                        log.push(bytes.clone());
-                        FrameTag::Ctrl(log.len() as u64 - 1)
-                    };
-                    match link {
-                        Some(link) => {
-                            // One socket write carries the broadcast; the
-                            // link reader fans it out to every shard, but
-                            // the accounting stays per shard copy so both
-                            // transports report identical frame counts.
-                            for _ in shards {
-                                stats.note_frame_sent(bytes.len());
-                            }
-                            if link
-                                .send(LinkCmd::Frame {
-                                    shard: SHARD_BROADCAST,
-                                    tag,
-                                    enqueued_ns,
-                                    bytes,
-                                })
-                                .is_err()
-                            {
-                                self.note_send_failure(stats, false);
-                            }
-                        }
-                        None => {
-                            for tx in shards {
-                                stats.note_frame_sent(bytes.len());
-                                if tx
-                                    .send(RtEvent::Frame(Frame {
-                                        bytes: bytes.clone(),
-                                        enqueued_ns,
-                                        tag,
-                                    }))
-                                    .is_err()
-                                {
-                                    self.note_send_failure(stats, false);
-                                }
-                            }
+                    1
+                };
+                for _ in 0..copies {
+                    stats.note_frames_sent(msgs, len);
+                }
+                match link {
+                    // One socket write carries a broadcast and the link
+                    // reader fans it out, but the accounting above stays
+                    // per shard copy so both transports report identical
+                    // frame counts.
+                    Some(link) => sent(link.send(LinkCmd::Frame { shard: slot, frame }).is_ok()),
+                    None if slot == SHARD_BROADCAST => {
+                        for tx in shards {
+                            sent(tx.send(RtEvent::Frame(frame.clone())).is_ok());
                         }
                     }
+                    None => sent(shards[slot as usize].send(RtEvent::Frame(frame)).is_ok()),
                 }
             }
-        }
-        if let Some(t0) = send_timer {
-            self.profiler
-                .record(PipelineStage::EgressSend, elapsed_ns(t0));
         }
     }
 
@@ -526,53 +695,28 @@ impl Router {
         &self,
         dest: usize,
         shard: u32,
-        tag: FrameTag,
-        enqueued_ns: u64,
-        payload: &[u8],
+        frame: Frame,
         stats: &RtStats,
     ) {
         let routes = self.read_routes();
-        match routes.get(dest) {
-            Some(Some(Route::Subscriber { tx, .. })) => {
-                if tx
-                    .send(RtEvent::Frame(Frame {
-                        bytes: payload.to_vec(),
-                        enqueued_ns,
-                        tag,
-                    }))
-                    .is_err()
-                {
-                    self.note_send_failure(stats, tag == FrameTag::Data);
-                }
-            }
-            Some(Some(Route::Broker { shards, .. })) => {
-                if shard == SHARD_BROADCAST {
-                    for tx in shards {
-                        if tx
-                            .send(RtEvent::Frame(Frame {
-                                bytes: payload.to_vec(),
-                                enqueued_ns,
-                                tag,
-                            }))
-                            .is_err()
-                        {
-                            self.note_send_failure(stats, false);
-                        }
-                    }
-                } else if let Some(tx) = shards.get(shard as usize) {
-                    if tx
-                        .send(RtEvent::Frame(Frame {
-                            bytes: payload.to_vec(),
-                            enqueued_ns,
-                            tag,
-                        }))
-                        .is_err()
-                    {
-                        self.note_send_failure(stats, tag == FrameTag::Data);
+        let (tag, msgs) = (frame.tag, frame.msgs);
+        let ok = match routes.get(dest) {
+            Some(Some(Route::Subscriber { tx, .. })) => tx.send(RtEvent::Frame(frame)).is_ok(),
+            Some(Some(Route::Broker { shards, .. })) if shard == SHARD_BROADCAST => {
+                for tx in shards {
+                    if tx.send(RtEvent::Frame(frame.clone())).is_err() {
+                        self.note_send_failure(stats, tag, msgs);
                     }
                 }
+                true
             }
-            _ => self.note_send_failure(stats, tag == FrameTag::Data),
+            Some(Some(Route::Broker { shards, .. })) => shards
+                .get(shard as usize)
+                .is_none_or(|tx| tx.send(RtEvent::Frame(frame)).is_ok()),
+            _ => false,
+        };
+        if !ok {
+            self.note_send_failure(stats, tag, msgs);
         }
     }
 
@@ -635,7 +779,7 @@ impl Router {
     /// the restart — filtered against the rebuilt state machine's
     /// control replay. Runs under the write lock so no new frame can
     /// overtake the requeued backlog. Returns the new receiver and the
-    /// number of data frames requeued.
+    /// number of data messages requeued.
     pub(crate) fn install_shard(
         &self,
         b: usize,
@@ -649,9 +793,7 @@ impl Router {
         let mut routes = self.write_routes();
         for frame in stranded {
             if Self::keep_frame(&frame, replayed) {
-                if frame.tag == FrameTag::Data {
-                    requeued += 1;
-                }
+                requeued += data_msgs(&frame);
                 let _ = tx.send(RtEvent::Frame(frame));
             }
         }
@@ -659,9 +801,7 @@ impl Router {
             match ev {
                 RtEvent::Frame(frame) => {
                     if Self::keep_frame(&frame, replayed) {
-                        if frame.tag == FrameTag::Data {
-                            requeued += 1;
-                        }
+                        requeued += data_msgs(&frame);
                         let _ = tx.send(RtEvent::Frame(frame));
                     }
                 }
@@ -683,7 +823,7 @@ impl Router {
     /// receiver is already dropped): the restart budget is spent, and
     /// from now on every data frame sent to this shard fails soft into
     /// the loss ledger. Counts and discards the backlog (`stranded` plus
-    /// whatever `extra` still holds); returns the number of data frames
+    /// whatever `extra` still holds); returns the number of data messages
     /// lost.
     pub(crate) fn fail_shard(
         &self,
@@ -699,17 +839,10 @@ impl Router {
                 shards[shard] = tx;
             }
         }
-        let mut lost = 0u64;
-        for frame in stranded {
-            if frame.tag == FrameTag::Data {
-                lost += 1;
-            }
-        }
+        let mut lost: u64 = stranded.iter().map(data_msgs).sum();
         while let Ok(ev) = extra.try_recv() {
             if let RtEvent::Frame(frame) = ev {
-                if frame.tag == FrameTag::Data {
-                    lost += 1;
-                }
+                lost += data_msgs(&frame);
             }
         }
         lost
@@ -718,8 +851,8 @@ impl Router {
     /// Salvages a late-exiting zombie's trapped backlog into whatever
     /// route is *currently* live for broker `b` shard `shard` (a fenced
     /// thread waking after its replacement already took over, or frames
-    /// from a stale generation). Returns `(data frames requeued, data
-    /// frames lost)`.
+    /// from a stale generation). Returns `(data messages requeued, data
+    /// messages lost)`.
     pub(crate) fn requeue_stranded(
         &self,
         b: usize,
@@ -740,16 +873,14 @@ impl Router {
             if !Self::keep_frame(&frame, replayed) {
                 return;
             }
-            let data = frame.tag == FrameTag::Data;
+            let data = data_msgs(&frame);
             let delivered = tx
                 .as_ref()
                 .is_some_and(|tx| tx.send(RtEvent::Frame(frame)).is_ok());
-            if data {
-                if delivered {
-                    requeued += 1;
-                } else {
-                    lost += 1;
-                }
+            if delivered {
+                requeued += data;
+            } else {
+                lost += data;
             }
         };
         if let Some(frame) = current {
@@ -761,6 +892,16 @@ impl Router {
             }
         }
         (requeued, lost)
+    }
+}
+
+/// The data messages `frame` carries — what the loss and requeue
+/// ledgers count.
+fn data_msgs(frame: &Frame) -> u64 {
+    if frame.tag == FrameTag::Data {
+        u64::from(frame.msgs)
+    } else {
+        0
     }
 }
 
@@ -799,6 +940,9 @@ struct RtCtx<'a> {
     router: &'a Router,
     stats: &'a RtStats,
     timers: &'a mut BinaryHeap<Reverse<(u64, u64)>>,
+    /// The node thread's outbox: data sends coalesce here until the
+    /// thread flushes it.
+    outbox: &'a mut Outbox,
     /// Leader shards (and every subscriber) emit control traffic and arm
     /// timers; follower shards mutate state silently.
     speaks: bool,
@@ -816,7 +960,8 @@ struct RtCtx<'a> {
     /// stage sampler.
     sampled: bool,
     /// Wall-clock nanoseconds this handler spent inside nested
-    /// `dispatch` calls (encode + egress send). Subtracted from the
+    /// `dispatch` calls (encode, plus any send a control message or a
+    /// full batch forced). Subtracted from the
     /// handler's total so the `Match` stage reports pure state-machine
     /// time rather than re-counting downstream wire costs.
     nested_ns: u64,
@@ -845,7 +990,7 @@ impl NodeCtx for RtCtx<'_> {
         }
         let timer = self.sampled.then(Instant::now);
         self.router
-            .dispatch(self.me, to, &msg, self.stats, self.sampled);
+            .dispatch(self.outbox, self.me, to, &msg, self.stats, self.sampled);
         if let Some(t0) = timer {
             self.nested_ns = self.nested_ns.saturating_add(elapsed_ns(t0));
         }
@@ -927,6 +1072,7 @@ fn snapshot_from(
         delivered: stats.delivered(),
         frames_sent: stats.frames_sent(),
         bytes_sent: stats.bytes_sent(),
+        channel_sends: stats.channel_sends(),
         frames_received: stats.frames_received(),
         suppressed_control: stats.suppressed_control(),
         decode_errors: stats.decode_errors(),
@@ -986,13 +1132,8 @@ impl Publisher {
             None => env.set_trace(Some(TraceContext::new(TraceId(env.seq().0), now))),
         }
         self.stats.inc_published();
-        self.router.dispatch(
-            EXTERNAL,
-            self.root,
-            &OverlayMsg::Publish(env),
-            &self.stats,
-            false,
-        );
+        self.router
+            .send_now(EXTERNAL, self.root, &OverlayMsg::Publish(env), &self.stats);
     }
 }
 
@@ -1161,7 +1302,14 @@ impl Runtime {
             .expect("validated topology has a root")
             .id;
 
-        let router = Router::new(broker_count, epoch, cfg.codec, Arc::clone(&profiler), fault);
+        let router = Router::new(
+            broker_count,
+            cfg.shards,
+            epoch,
+            cfg.codec,
+            Arc::clone(&profiler),
+            fault,
+        );
         let mut links: Vec<Link> = Vec::new();
         let mut inboxes: Vec<Vec<Receiver<RtEvent>>> = Vec::with_capacity(broker_count);
         for b in 0..broker_count {
@@ -1367,12 +1515,11 @@ impl Runtime {
         adv.stage_map
             .check_arity(class.arity())
             .expect("stage map fits the class schema");
-        self.router.dispatch(
+        self.router.send_now(
             EXTERNAL,
             self.root,
             &OverlayMsg::Advertise(adv),
             &self.stats,
-            false,
         );
         // Advertisements flood through leader control; give followers the
         // same broadcast before subscriptions race in.
@@ -1511,7 +1658,7 @@ impl Runtime {
         // The subscriber itself initiates the walk, with external
         // provenance for the initial requests — as in the simulator.
         for (fid, filter) in branches {
-            self.router.dispatch(
+            self.router.send_now(
                 EXTERNAL,
                 self.root,
                 &OverlayMsg::Subscribe(layercake_overlay::SubscriptionReq {
@@ -1521,7 +1668,6 @@ impl Runtime {
                     durable,
                 }),
                 &self.stats,
-                false,
             );
         }
 
@@ -1915,14 +2061,28 @@ fn spawn_shard(
 }
 
 /// The supervised wrapper around one broker shard's run loop: catches
-/// panics, reports the exit over the supervision channel with the
+/// panics, flushes the outputs of every message handled before the exit,
+/// reports the exit over the supervision channel with the rest of the
 /// in-flight frame and the (now drainable) inbox receiver, and hands the
 /// state machine back on a clean exit.
 fn shard_thread_main(env: ShardEnv, mut broker: Broker, rx: Receiver<RtEvent>) -> ShardOutcome {
-    let mut current: Option<Frame> = None;
+    let mut io = NodeIo::new(
+        ActorId(env.b),
+        &env.router,
+        &env.stats,
+        &env.profiler,
+        env.speaks,
+        Some((env.shard, env.count)),
+    );
+    let mut current: Option<InHand> = None;
     let exit = catch_unwind(AssertUnwindSafe(|| {
-        shard_run_loop(&env, &mut broker, &rx, &mut current)
+        shard_run_loop(&env, &mut io, &mut broker, &rx, &mut current)
     }));
+    // Outputs of messages already handled leave even after a panic, as
+    // they did when each was sent on the spot; the rest of the frame in
+    // hand goes back to the supervisor.
+    io.flush();
+    let current = current.take().map(InHand::rest);
     match exit {
         Ok(LoopExit::Clean) => ShardOutcome::Clean(Box::new(broker)),
         Ok(LoopExit::Fenced) => {
@@ -1932,7 +2092,7 @@ fn shard_thread_main(env: ShardEnv, mut broker: Broker, rx: Receiver<RtEvent>) -
                 generation: env.generation,
                 kind: DownKind::Fence,
                 detail: String::new(),
-                current: current.take(),
+                current,
                 rx,
             });
             ShardOutcome::Fenced
@@ -1946,7 +2106,7 @@ fn shard_thread_main(env: ShardEnv, mut broker: Broker, rx: Receiver<RtEvent>) -
                 generation: env.generation,
                 kind: DownKind::Panic,
                 detail: detail.clone(),
-                current: current.take(),
+                current,
                 rx,
             });
             ShardOutcome::Panicked(detail)
@@ -1954,115 +2114,64 @@ fn shard_thread_main(env: ShardEnv, mut broker: Broker, rx: Receiver<RtEvent>) -
     }
 }
 
-/// Runs one broker shard: decode frames, drive the state machine, fire
-/// timers, drain on poison. `current` mirrors the frame being processed
-/// so a panic hands it back to the supervisor for requeueing (a
-/// deterministically poisonous frame then re-crashes the replacement —
-/// bounded by the restart budget, which is the intended behavior for a
-/// poison-pill input).
+/// Runs one broker shard: block for a frame, drain the inbox behind it
+/// up to [`DRAIN_CAP`] messages, flush the coalesced outputs, fire
+/// timers, drain on poison. `current` holds the frame being processed
+/// so a panic hands the rest of it — from the message in hand on — back
+/// to the supervisor for requeueing (a deterministically poisonous
+/// message then re-crashes the replacement — bounded by the restart
+/// budget, which is the intended behavior for a poison-pill input).
 fn shard_run_loop(
     env: &ShardEnv,
+    io: &mut NodeIo<'_>,
     broker: &mut Broker,
     rx: &Receiver<RtEvent>,
-    current: &mut Option<Frame>,
+    current: &mut Option<InHand>,
 ) -> LoopExit {
-    let me = ActorId(env.b);
-    let shard = Some((env.shard, env.count));
-    let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut decoder = LinkDecoder::new(env.router.codec);
-    let mut frame_counter = 0u64;
-    let mut received = 0u64;
     // Declared inside the loop fn so a panic unwinding through
     // `catch_unwind` in `shard_thread_main` still runs the Drop and
     // retracts this generation's gauge contribution.
     let mut table_gauges = TableGauges::new(env);
+    let faults = Some((env.b, env.shard));
     loop {
         env.heartbeat.set_max(heartbeat_now(env.epoch));
         if env.fence.load(Ordering::Relaxed) {
             return LoopExit::Fenced;
         }
-        let timeout = next_wakeup(&timers, env.epoch);
-        match rx.recv_timeout(timeout) {
-            Ok(RtEvent::Frame(frame)) => {
-                received += 1;
-                let sampled = env.profiler.tick(&mut frame_counter);
-                *current = Some(frame);
-                match env.router.fault.frame_action(env.b, env.shard, received) {
-                    FaultAction::Pass => {}
-                    FaultAction::Panic => {
-                        env.stats.inc_faults_injected();
-                        panic!(
-                            "injected fault: broker {} shard {} panics at frame {received}",
-                            env.b, env.shard
-                        );
+        let mut next = rx.recv_timeout(next_wakeup(&io.timers, env.epoch));
+        let mut handled = 0usize;
+        loop {
+            match next {
+                Ok(RtEvent::Frame(frame)) => {
+                    handled += frame.msgs as usize;
+                    *current = Some(InHand::new(frame));
+                    if !feed_frame(io, broker, current, faults, Some(&env.fence), |_| {}) {
+                        return LoopExit::Fenced;
                     }
-                    FaultAction::Stall(dur) => {
-                        env.stats.inc_faults_injected();
-                        std::thread::sleep(dur);
-                        if env.fence.load(Ordering::Relaxed) {
-                            return LoopExit::Fenced;
+                }
+                Ok(RtEvent::Shutdown) => {
+                    while let Ok(ev) = rx.try_recv() {
+                        if let RtEvent::Frame(frame) = ev {
+                            *current = Some(InHand::new(frame));
+                            feed_frame(io, broker, current, None, None, |_| {});
                         }
                     }
+                    return LoopExit::Clean;
                 }
-                if let Some(f) = current.as_ref() {
-                    feed_node(
-                        broker,
-                        &mut decoder,
-                        &f.bytes,
-                        f.enqueued_ns,
-                        sampled,
-                        me,
-                        env.epoch,
-                        &env.router,
-                        &env.stats,
-                        &env.profiler,
-                        env.speaks,
-                        shard,
-                        &mut timers,
-                    );
-                }
-                *current = None;
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => return LoopExit::Clean,
             }
-            Ok(RtEvent::Shutdown) => {
-                while let Ok(ev) = rx.try_recv() {
-                    if let RtEvent::Frame(f) = ev {
-                        *current = Some(f);
-                        if let Some(f) = current.as_ref() {
-                            feed_node(
-                                broker,
-                                &mut decoder,
-                                &f.bytes,
-                                f.enqueued_ns,
-                                env.profiler.tick(&mut frame_counter),
-                                me,
-                                env.epoch,
-                                &env.router,
-                                &env.stats,
-                                &env.profiler,
-                                env.speaks,
-                                shard,
-                                &mut timers,
-                            );
-                        }
-                        *current = None;
-                    }
-                }
-                return LoopExit::Clean;
+            if handled >= DRAIN_CAP || env.fence.load(Ordering::Relaxed) {
+                break;
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return LoopExit::Clean,
+            next = rx.try_recv().map_err(|e| match e {
+                TryRecvError::Empty => RecvTimeoutError::Timeout,
+                TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+            });
         }
-        fire_due_timers(
-            broker,
-            &mut timers,
-            me,
-            env.epoch,
-            &env.router,
-            &env.stats,
-            &env.profiler,
-            env.speaks,
-            shard,
-        );
+        io.flush();
+        io.fire_due_timers(broker);
+        io.flush();
         table_gauges.publish(broker);
     }
 }
@@ -2102,7 +2211,11 @@ fn subscriber_thread_main(
     mut node: SubscriberNode,
     rx: Receiver<RtEvent>,
 ) -> SubOutcome {
-    let exit = catch_unwind(AssertUnwindSafe(|| sub_run_loop(&env, &mut node, &rx)));
+    let mut io = NodeIo::new(env.id, &env.router, &env.stats, &env.profiler, true, None);
+    let exit = catch_unwind(AssertUnwindSafe(|| {
+        sub_run_loop(&env, &mut io, &mut node, &rx)
+    }));
+    io.flush();
     match exit {
         Ok(()) => SubOutcome::Clean(Box::new(node)),
         Err(payload) => {
@@ -2117,101 +2230,50 @@ fn subscriber_thread_main(
     }
 }
 
-/// Runs one subscriber: like a broker shard, plus placement signalling
+/// Runs one subscriber: like a broker shard (without the inbox drain —
+/// a subscriber sends no data to coalesce), plus placement signalling
 /// and per-delivery latency accounting. Fault plans target a subscriber
 /// through its node id with shard 0 ([`RtSubscriberHandle::node`]).
-fn sub_run_loop(env: &SubEnv, node: &mut SubscriberNode, rx: &Receiver<RtEvent>) {
-    let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut decoder = LinkDecoder::new(env.router.codec);
-    let mut frame_counter = 0u64;
-    let mut received = 0u64;
-    let after = |node: &mut SubscriberNode, stats: &RtStats| {
+fn sub_run_loop(
+    env: &SubEnv,
+    io: &mut NodeIo<'_>,
+    node: &mut SubscriberNode,
+    rx: &Receiver<RtEvent>,
+) {
+    let after = |node: &mut SubscriberNode| {
         if !env.placed.load(Ordering::Relaxed) && node.fully_placed() {
             env.placed.store(true, Ordering::Release);
         }
         for env_msg in node.take_inbox() {
             if let Some(tc) = env_msg.trace() {
-                stats.record_latency_ns(nanos_since(env.epoch).saturating_sub(tc.published_at));
+                env.stats
+                    .record_latency_ns(nanos_since(env.epoch).saturating_sub(tc.published_at));
             }
-            stats.inc_delivered();
+            env.stats.inc_delivered();
             if let Some(tap) = &env.tap {
                 let _ = tap.send(env_msg);
             }
         }
     };
+    let faults = Some((env.id.0, 0));
     loop {
         env.heartbeat.set_max(heartbeat_now(env.epoch));
-        let timeout = next_wakeup(&timers, env.epoch);
-        match rx.recv_timeout(timeout) {
+        match rx.recv_timeout(next_wakeup(&io.timers, env.epoch)) {
             Ok(RtEvent::Frame(frame)) => {
-                received += 1;
-                match env.router.fault.frame_action(env.id.0, 0, received) {
-                    FaultAction::Pass => {}
-                    FaultAction::Panic => {
-                        env.stats.inc_faults_injected();
-                        panic!(
-                            "injected fault: subscriber {} panics at frame {received}",
-                            env.id.0
-                        );
-                    }
-                    FaultAction::Stall(dur) => {
-                        env.stats.inc_faults_injected();
-                        std::thread::sleep(dur);
-                    }
-                }
-                feed_node(
-                    node,
-                    &mut decoder,
-                    &frame.bytes,
-                    frame.enqueued_ns,
-                    env.profiler.tick(&mut frame_counter),
-                    env.id,
-                    env.epoch,
-                    &env.router,
-                    &env.stats,
-                    &env.profiler,
-                    true,
-                    None,
-                    &mut timers,
-                );
-                after(node, &env.stats);
+                feed_frame(io, node, &mut Some(InHand::new(frame)), faults, None, after);
             }
             Ok(RtEvent::Shutdown) => {
                 while let Ok(RtEvent::Frame(frame)) = rx.try_recv() {
-                    feed_node(
-                        node,
-                        &mut decoder,
-                        &frame.bytes,
-                        frame.enqueued_ns,
-                        env.profiler.tick(&mut frame_counter),
-                        env.id,
-                        env.epoch,
-                        &env.router,
-                        &env.stats,
-                        &env.profiler,
-                        true,
-                        None,
-                        &mut timers,
-                    );
-                    after(node, &env.stats);
+                    feed_frame(io, node, &mut Some(InHand::new(frame)), None, None, after);
                 }
                 return;
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
         }
-        fire_due_timers(
-            node,
-            &mut timers,
-            env.id,
-            env.epoch,
-            &env.router,
-            &env.stats,
-            &env.profiler,
-            true,
-            None,
-        );
-        after(node, &env.stats);
+        io.fire_due_timers(node);
+        io.flush();
+        after(node);
     }
 }
 
@@ -2272,9 +2334,9 @@ fn rebuild_broker(
 /// generation's surviving backlog into a fresh inbox, and spawn the
 /// replacement thread under a bumped generation.
 ///
-/// On success returns the number of data frames requeued. On failure the
+/// On success returns the number of data messages requeued. On failure the
 /// shard has already been routed to a dead end and the error carries the
-/// number of data frames lost with it; the caller marks the slot failed.
+/// number of data messages lost with it; the caller marks the slot failed.
 pub(crate) fn perform_restart(
     shared: &SupervisorShared,
     b: usize,
@@ -2293,20 +2355,16 @@ pub(crate) fn perform_restart(
         // Re-open durable streams *before* the new inbox goes live:
         // mpsc linearizes sends, so every subscriber sees its rebased
         // `DurableBase` ahead of anything the replacement delivers.
-        let mut timers: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        let mut ctx = RtCtx {
-            me: ActorId(b),
-            epoch: shared.router.epoch,
-            router: &shared.router,
-            stats: &shared.stats,
-            timers: &mut timers,
-            speaks: shard == 0,
-            shard: Some((shard, shared.cfg.shards)),
-            profiler: &shared.profiler,
-            sampled: false,
-            nested_ns: 0,
-        };
-        broker.reopen_durable_streams(&mut ctx);
+        let mut io = NodeIo::new(
+            ActorId(b),
+            &shared.router,
+            &shared.stats,
+            &shared.profiler,
+            shard == 0,
+            Some((shard, shared.cfg.shards)),
+        );
+        broker.reopen_durable_streams(&mut io.ctx(false));
+        io.flush();
     }
     let (generation, fence, heartbeat) = {
         let slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
@@ -2364,95 +2422,225 @@ pub(crate) fn perform_restart(
     }
 }
 
-/// Pushes one channel message's bytes through the link decoder and
-/// feeds every complete wire message to the node. Corrupt frames are
-/// counted and the buffered remainder discarded (the learned attribute
-/// dictionary survives the reset — only framing state is poisoned).
-///
-/// On a sampled frame the per-stage pipeline costs are recorded:
-/// ingress wait (sender's enqueue stamp → now), decode (deframe +
-/// deserialize, per wire message), and match (the state-machine step,
-/// minus the time its own sends spent encoding and enqueuing — those
-/// are reported as `Encode`/`EgressSend` by the nested dispatch).
-///
-/// Externally published events are re-stamped here, at root ingress
-/// dequeue: the wait an event spent behind earlier events in the root
-/// inbox goes into `rt.queue_wait_ns`, and the trace context's
-/// `published_at` is rebased to *now* so the end-to-end latency
-/// histogram measures pipeline delivery latency rather than publish
-/// backlog. (Experiment E17's "268 ms p50 at one shard" was backlog —
-/// an open-loop publisher queueing faster than one shard drains.)
-#[allow(clippy::too_many_arguments)]
-fn feed_node<N: Node>(
-    node: &mut N,
-    decoder: &mut LinkDecoder,
-    bytes: &[u8],
-    enqueued_ns: u64,
-    sampled: bool,
+/// A node thread's side of the message loop: identity, timers, the
+/// decode dictionary, and the outbox its data sends coalesce in.
+struct NodeIo<'a> {
     me: ActorId,
     epoch: Instant,
-    router: &Router,
-    stats: &RtStats,
-    profiler: &StageProfiler,
+    router: &'a Router,
+    stats: &'a RtStats,
+    profiler: &'a StageProfiler,
     speaks: bool,
     shard: Option<(usize, usize)>,
-    timers: &mut BinaryHeap<Reverse<(u64, u64)>>,
-) {
-    if sampled && enqueued_ns != 0 {
-        profiler.record(
-            PipelineStage::IngressWait,
-            nanos_since(epoch).saturating_sub(enqueued_ns),
-        );
-    }
-    decoder.push(bytes);
-    loop {
-        let decode_timer = sampled.then(Instant::now);
-        match decoder.next_msg() {
-            Ok(Some((from, mut msg))) => {
-                if let Some(t0) = decode_timer {
-                    profiler.record(PipelineStage::Decode, elapsed_ns(t0));
-                }
-                stats.inc_frames_received();
-                if from == EXTERNAL {
-                    if let OverlayMsg::Publish(env) = &mut msg {
-                        if let Some(mut tc) = env.trace() {
-                            let now = nanos_since(epoch);
-                            stats.record_queue_wait_ns(now.saturating_sub(tc.published_at));
-                            tc.published_at = now;
-                            tc.last_hop_at = now;
-                            env.set_trace(Some(tc));
-                        }
-                    }
-                }
-                let mut ctx = RtCtx {
-                    me,
-                    epoch,
-                    router,
-                    stats,
-                    timers: &mut *timers,
-                    speaks,
-                    shard,
-                    profiler,
-                    sampled,
-                    nested_ns: 0,
-                };
-                let match_timer = sampled.then(Instant::now);
-                node.on_message(from, msg, &mut ctx);
-                if let Some(t0) = match_timer {
-                    profiler.record(
-                        PipelineStage::Match,
-                        elapsed_ns(t0).saturating_sub(ctx.nested_ns),
-                    );
-                }
-            }
-            Ok(None) => break,
-            Err(_) => {
-                stats.inc_decode_errors();
-                decoder.reset_framing();
-                break;
-            }
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
+    dict: DecodeDict,
+    sample_counter: u64,
+    /// Wire messages received so far: the count fault plans key on.
+    received: u64,
+    outbox: Outbox,
+}
+
+impl<'a> NodeIo<'a> {
+    fn new(
+        me: ActorId,
+        router: &'a Router,
+        stats: &'a RtStats,
+        profiler: &'a StageProfiler,
+        speaks: bool,
+        shard: Option<(usize, usize)>,
+    ) -> Self {
+        Self {
+            me,
+            epoch: router.epoch,
+            router,
+            stats,
+            profiler,
+            speaks,
+            shard,
+            timers: BinaryHeap::new(),
+            dict: DecodeDict::new(DictMode::Shared),
+            sample_counter: 0,
+            received: 0,
+            outbox: Outbox::new(),
         }
     }
+
+    fn ctx(&mut self, sampled: bool) -> RtCtx<'_> {
+        RtCtx {
+            me: self.me,
+            epoch: self.epoch,
+            router: self.router,
+            stats: self.stats,
+            timers: &mut self.timers,
+            outbox: &mut self.outbox,
+            speaks: self.speaks,
+            shard: self.shard,
+            profiler: self.profiler,
+            sampled,
+            nested_ns: 0,
+        }
+    }
+
+    /// Sends every coalesced batch.
+    fn flush(&mut self) {
+        self.router.flush(&mut self.outbox, self.stats);
+    }
+
+    /// Decodes one wire message's payload and feeds the message to the
+    /// node. A malformed payload is counted and skipped: the frame
+    /// boundaries around it are intact.
+    ///
+    /// On a sampled message the per-stage pipeline costs are recorded:
+    /// ingress wait (sender's enqueue stamp → now, passed only for the
+    /// first message of a channel frame), decode, and match (the
+    /// state-machine step, minus the time its own sends spent encoding
+    /// and enqueuing — those are reported as `Encode`/`EgressSend` by
+    /// the nested dispatch).
+    ///
+    /// Externally published events are re-stamped here, at root ingress
+    /// dequeue: the wait an event spent behind earlier events in the
+    /// root inbox goes into `rt.queue_wait_ns`, and the trace context's
+    /// `published_at` is rebased to *now* so the end-to-end latency
+    /// histogram measures pipeline delivery latency rather than publish
+    /// backlog. (Experiment E17's "268 ms p50 at one shard" was backlog
+    /// — an open-loop publisher queueing faster than one shard drains.)
+    fn feed<N: Node>(&mut self, node: &mut N, payload: &[u8], enqueued_ns: u64) {
+        let sampled = self.profiler.tick(&mut self.sample_counter);
+        let (profiler, stats, epoch) = (self.profiler, self.stats, self.epoch);
+        if sampled && enqueued_ns != 0 {
+            profiler.record(
+                PipelineStage::IngressWait,
+                nanos_since(epoch).saturating_sub(enqueued_ns),
+            );
+        }
+        let decode_timer = sampled.then(Instant::now);
+        let (from, mut msg) = match wire::decode_payload(self.router.codec, payload, &mut self.dict)
+        {
+            Ok(Some(decoded)) => decoded,
+            // Connection control (a dictionary update): nothing to feed.
+            Ok(None) => return,
+            Err(_) => {
+                stats.inc_decode_errors();
+                return;
+            }
+        };
+        if let Some(t0) = decode_timer {
+            profiler.record(PipelineStage::Decode, elapsed_ns(t0));
+        }
+        stats.inc_frames_received();
+        if from == EXTERNAL {
+            if let OverlayMsg::Publish(env) = &mut msg {
+                if let Some(mut tc) = env.trace() {
+                    let now = nanos_since(epoch);
+                    stats.record_queue_wait_ns(now.saturating_sub(tc.published_at));
+                    tc.published_at = now;
+                    tc.last_hop_at = now;
+                    env.set_trace(Some(tc));
+                }
+            }
+        }
+        let mut ctx = self.ctx(sampled);
+        let match_timer = sampled.then(Instant::now);
+        node.on_message(from, msg, &mut ctx);
+        if let Some(t0) = match_timer {
+            profiler.record(
+                PipelineStage::Match,
+                elapsed_ns(t0).saturating_sub(ctx.nested_ns),
+            );
+        }
+    }
+
+    fn fire_due_timers<N: Node>(&mut self, node: &mut N) {
+        while let Some(&Reverse((deadline, tag))) = self.timers.peek() {
+            if deadline > micros_since(self.epoch) {
+                break;
+            }
+            self.timers.pop();
+            self.stats.inc_timers_fired();
+            // Timer work is maintenance, not pipeline — never stage-sampled.
+            node.on_timer(tag, &mut self.ctx(false));
+        }
+    }
+}
+
+/// A channel frame a node thread is working through, one wire message at
+/// a time.
+struct InHand {
+    frame: Frame,
+    /// Byte offset and index of the next message to handle.
+    at: usize,
+    done: u32,
+}
+
+impl InHand {
+    fn new(frame: Frame) -> Self {
+        Self {
+            frame,
+            at: 0,
+            done: 0,
+        }
+    }
+
+    /// What is left of the frame: the message in hand and everything
+    /// after it, stamped like the whole frame.
+    fn rest(mut self) -> Frame {
+        self.frame.bytes.drain(..self.at);
+        self.frame.msgs = self.frame.msgs.saturating_sub(self.done);
+        self.frame
+    }
+}
+
+/// Feeds the frame in `hand` to `node` one wire message at a time,
+/// calling `after` behind each, and clears `hand` once it is done. With
+/// `faults` (the thread's fault-plan key) the plan is consulted before
+/// every message, so `panic_at`/`stall_at` count messages whatever the
+/// frame sizes: an injected panic is raised here with `hand` at the
+/// message; a stall flushes the outbox, sleeps, and returns `false` if
+/// the supervisor fenced the thread meanwhile. Bytes that do not frame
+/// end the frame as one decode error.
+fn feed_frame<N: Node>(
+    io: &mut NodeIo<'_>,
+    node: &mut N,
+    hand: &mut Option<InHand>,
+    faults: Option<(usize, usize)>,
+    fence: Option<&AtomicBool>,
+    mut after: impl FnMut(&mut N),
+) -> bool {
+    while let Some(h) = hand.as_ref().filter(|h| h.at < h.frame.bytes.len()) {
+        io.received += 1;
+        if let Some((node_id, shard)) = faults {
+            match io.router.fault.frame_action(node_id, shard, io.received) {
+                FaultAction::Pass => {}
+                FaultAction::Panic => {
+                    io.stats.inc_faults_injected();
+                    panic!(
+                        "injected fault: node {node_id} shard {shard} panics at message {}",
+                        io.received
+                    );
+                }
+                FaultAction::Stall(dur) => {
+                    io.stats.inc_faults_injected();
+                    io.flush();
+                    std::thread::sleep(dur);
+                    if fence.is_some_and(|f| f.load(Ordering::Relaxed)) {
+                        return false;
+                    }
+                }
+            }
+        }
+        let stamp = if h.done == 0 { h.frame.enqueued_ns } else { 0 };
+        let Ok((payload, len)) = wire::split_wire_frame(&h.frame.bytes[h.at..]) else {
+            io.stats.inc_decode_errors();
+            break;
+        };
+        io.feed(node, payload, stamp);
+        let h = hand.as_mut().expect("the frame is still in hand");
+        h.at += len;
+        h.done += 1;
+        after(node);
+    }
+    *hand = None;
+    true
 }
 
 fn next_wakeup(timers: &BinaryHeap<Reverse<(u64, u64)>>, epoch: Instant) -> Duration {
@@ -2461,40 +2649,5 @@ fn next_wakeup(timers: &BinaryHeap<Reverse<(u64, u64)>>, epoch: Instant) -> Dura
             Duration::from_micros(deadline.saturating_sub(micros_since(epoch))).min(IDLE_TICK)
         }
         None => IDLE_TICK,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fire_due_timers<N: Node>(
-    node: &mut N,
-    timers: &mut BinaryHeap<Reverse<(u64, u64)>>,
-    me: ActorId,
-    epoch: Instant,
-    router: &Router,
-    stats: &RtStats,
-    profiler: &StageProfiler,
-    speaks: bool,
-    shard: Option<(usize, usize)>,
-) {
-    while let Some(&Reverse((deadline, tag))) = timers.peek() {
-        if deadline > micros_since(epoch) {
-            break;
-        }
-        timers.pop();
-        stats.inc_timers_fired();
-        // Timer work is maintenance, not pipeline — never stage-sampled.
-        let mut ctx = RtCtx {
-            me,
-            epoch,
-            router,
-            stats,
-            timers: &mut *timers,
-            speaks,
-            shard,
-            profiler,
-            sampled: false,
-            nested_ns: 0,
-        };
-        node.on_timer(tag, &mut ctx);
     }
 }

@@ -26,10 +26,13 @@ pub struct RtSnapshot {
     pub published: u64,
     /// Events accepted exactly-once by subscriber nodes.
     pub delivered: u64,
-    /// Frames pushed onto node channels.
+    /// Wire messages pushed toward node channels.
     pub frames_sent: u64,
     /// Total framed bytes sent.
     pub bytes_sent: u64,
+    /// Channel hand-offs carrying those frames; a coalesced send carries
+    /// several, so this never exceeds `frames_sent`.
+    pub channel_sends: u64,
     /// Frames decoded by node threads.
     pub frames_received: u64,
     /// Outgoing control messages dropped by follower shards.
@@ -99,6 +102,7 @@ impl std::fmt::Display for RtSnapshot {
             ("delivered", self.delivered),
             ("frames_sent", self.frames_sent),
             ("bytes_sent", self.bytes_sent),
+            ("channel_sends", self.channel_sends),
             ("frames_received", self.frames_received),
             ("suppressed_control", self.suppressed_control),
             ("decode_errors", self.decode_errors),
@@ -177,6 +181,7 @@ mod tests {
             delivered: 8,
             frames_sent: 40,
             bytes_sent: 4096,
+            channel_sends: 25,
             frames_received: 40,
             suppressed_control: 2,
             decode_errors: 0,

@@ -37,6 +37,7 @@ pub struct RtStats {
     delivered: Arc<ShardedCounter>,
     frames_sent: Arc<ShardedCounter>,
     bytes_sent: Arc<ShardedCounter>,
+    channel_sends: Arc<ShardedCounter>,
     frames_received: Arc<ShardedCounter>,
     suppressed_control: Arc<ShardedCounter>,
     decode_errors: Arc<ShardedCounter>,
@@ -76,6 +77,7 @@ impl RtStats {
             delivered: registry.counter("rt.delivered"),
             frames_sent: registry.counter("rt.frames_sent"),
             bytes_sent: registry.counter("rt.bytes_sent"),
+            channel_sends: registry.counter("rt.channel_sends"),
             frames_received: registry.counter("rt.frames_received"),
             suppressed_control: registry.counter("rt.suppressed_control"),
             decode_errors: registry.counter("rt.decode_errors"),
@@ -113,9 +115,13 @@ impl RtStats {
         self.delivered.inc();
     }
 
-    pub(crate) fn note_frame_sent(&self, bytes: usize) {
-        self.frames_sent.inc();
+    pub(crate) fn note_frames_sent(&self, msgs: u32, bytes: usize) {
+        self.frames_sent.add(u64::from(msgs));
         self.bytes_sent.add(bytes as u64);
+    }
+
+    pub(crate) fn inc_channel_sends(&self) {
+        self.channel_sends.inc();
     }
 
     pub(crate) fn inc_frames_received(&self) {
@@ -222,8 +228,8 @@ impl RtStats {
         self.delivered.get()
     }
 
-    /// Frames pushed onto node channels (control broadcasts count once
-    /// per shard copy).
+    /// Wire messages (length-prefixed frames) pushed toward node
+    /// channels; control broadcasts count once per shard copy.
     #[must_use]
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent.get()
@@ -233,6 +239,15 @@ impl RtStats {
     #[must_use]
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent.get()
+    }
+
+    /// Channel hand-offs (mpsc sends or link writes) that carried those
+    /// frames. Node threads coalesce the data messages they send one
+    /// destination within one inbox drain, so `frames_sent /
+    /// channel_sends` is the mean batch size; never above `frames_sent`.
+    #[must_use]
+    pub fn channel_sends(&self) -> u64 {
+        self.channel_sends.get()
     }
 
     /// Frames decoded by node threads.

@@ -134,7 +134,8 @@ pub(crate) enum Notice {
         generation: u64,
         kind: DownKind,
         detail: String,
-        /// The frame being processed at the moment of death, if any.
+        /// What was left of the frame being processed at the moment of
+        /// death, if any: the message in hand and everything after it.
         current: Option<Frame>,
         /// The dead inbox: once the router swaps the shard's sender the
         /// channel closes and the supervisor drains every frame that

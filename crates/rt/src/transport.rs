@@ -26,9 +26,10 @@
 //!
 //! A link message carries the routing metadata the in-process `Frame`
 //! struct would have carried in its fields: target shard (or the
-//! broadcast sentinel), requeue tag, and the profiler's enqueue stamp.
-//! The frame payload itself is opaque to this layer — the codec
-//! ([`crate::WireCodec`]) already produced self-contained framed bytes.
+//! broadcast sentinel), requeue tag, message count, and the profiler's
+//! enqueue stamp. The frame payload itself is opaque to this layer — the
+//! codec ([`crate::WireCodec`]) already produced self-contained framed
+//! bytes, one or more complete wire frames per link message.
 //!
 //! This backend is the in-process proving ground for the socket path
 //! (sim-vs-rt parity runs over it; see `tests/parity.rs`). Genuinely
@@ -42,7 +43,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::runtime::{FrameTag, Router};
+use crate::runtime::{Frame, FrameTag, Router, MAX_CHANNEL_FRAME};
 use crate::stats::RtStats;
 
 /// Which link backend carries frames between node threads.
@@ -62,13 +63,8 @@ pub(crate) const SHARD_BROADCAST: u32 = u32::MAX;
 
 /// What a link writer thread is asked to put on the socket.
 pub(crate) enum LinkCmd {
-    /// One framed message for the destination's shard (or all shards).
-    Frame {
-        shard: u32,
-        tag: FrameTag,
-        enqueued_ns: u64,
-        bytes: Vec<u8>,
-    },
+    /// One channel frame for the destination's shard (or all shards).
+    Frame { shard: u32, frame: Frame },
     /// The shutdown poison pill for one shard (or all shards), ordered
     /// behind every frame already queued on this link.
     Shutdown { shard: u32 },
@@ -144,24 +140,21 @@ fn writer_loop(mut stream: TcpStream, rx: &Receiver<LinkCmd>) {
     while let Ok(cmd) = rx.recv() {
         buf.clear();
         match cmd {
-            LinkCmd::Frame {
-                shard,
-                tag,
-                enqueued_ns,
-                bytes,
-            } => {
-                let (tag_byte, ctrl_seq) = match tag {
-                    FrameTag::Data => (TAG_DATA, 0),
-                    FrameTag::Ack => (TAG_ACK, 0),
+            LinkCmd::Frame { shard, frame } => {
+                // The tag argument: a control frame's capture sequence,
+                // otherwise the frame's message count.
+                let (tag_byte, arg) = match frame.tag {
+                    FrameTag::Data => (TAG_DATA, u64::from(frame.msgs)),
+                    FrameTag::Ack => (TAG_ACK, u64::from(frame.msgs)),
                     FrameTag::Ctrl(seq) => (TAG_CTRL, seq),
                 };
                 buf.push(MSG_FRAME);
                 buf.extend_from_slice(&shard.to_le_bytes());
                 buf.push(tag_byte);
-                buf.extend_from_slice(&ctrl_seq.to_le_bytes());
-                buf.extend_from_slice(&enqueued_ns.to_le_bytes());
-                buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                buf.extend_from_slice(&bytes);
+                buf.extend_from_slice(&arg.to_le_bytes());
+                buf.extend_from_slice(&frame.enqueued_ns.to_le_bytes());
+                buf.extend_from_slice(&(frame.bytes.len() as u32).to_le_bytes());
+                buf.extend_from_slice(&frame.bytes);
             }
             LinkCmd::Shutdown { shard } => {
                 buf.push(MSG_SHUTDOWN);
@@ -181,7 +174,6 @@ fn writer_loop(mut stream: TcpStream, rx: &Receiver<LinkCmd>) {
 /// Reads link messages off the socket and forwards each into the
 /// destination's current inbox sender(s) through the router.
 fn reader_loop(mut stream: TcpStream, dest: usize, router: &Router, stats: &RtStats) {
-    let mut payload: Vec<u8> = Vec::new();
     loop {
         let mut kind = [0u8; 1];
         if stream.read_exact(&mut kind).is_err() {
@@ -194,25 +186,32 @@ fn reader_loop(mut stream: TcpStream, dest: usize, router: &Router, stats: &RtSt
                     return;
                 }
                 let shard = u32::from_le_bytes([head[0], head[1], head[2], head[3]]);
-                let tag = match head[4] {
-                    TAG_DATA => FrameTag::Data,
-                    TAG_ACK => FrameTag::Ack,
-                    TAG_CTRL => {
-                        let seq = u64::from_le_bytes(head[5..13].try_into().expect("8 bytes"));
-                        FrameTag::Ctrl(seq)
-                    }
+                let arg = u64::from_le_bytes(head[5..13].try_into().expect("8 bytes"));
+                let (tag, msgs) = match head[4] {
+                    TAG_DATA => (FrameTag::Data, arg),
+                    TAG_ACK => (FrameTag::Ack, arg),
+                    TAG_CTRL => (FrameTag::Ctrl(arg), 1),
                     _ => return, // Corrupt link header: drop the stream.
+                };
+                let Ok(msgs) = u32::try_from(msgs) else {
+                    return;
                 };
                 let enqueued_ns = u64::from_le_bytes(head[13..21].try_into().expect("8 bytes"));
                 let len = u32::from_le_bytes(head[21..25].try_into().expect("4 bytes")) as usize;
-                if len > layercake_event::MAX_FRAME_PAYLOAD + layercake_event::FRAME_HEADER_LEN {
+                if len > MAX_CHANNEL_FRAME {
                     return; // Corrupt length: terminal for the stream.
                 }
-                payload.resize(len, 0);
-                if stream.read_exact(&mut payload).is_err() {
+                let mut bytes = vec![0u8; len];
+                if stream.read_exact(&mut bytes).is_err() {
                     return;
                 }
-                router.forward_link_frame(dest, shard, tag, enqueued_ns, &payload, stats);
+                let frame = Frame {
+                    bytes,
+                    msgs,
+                    enqueued_ns,
+                    tag,
+                };
+                router.forward_link_frame(dest, shard, frame, stats);
             }
             MSG_SHUTDOWN => {
                 let mut raw = [0u8; 4];

@@ -1,5 +1,13 @@
 //! The runtime's wire format: one length-prefixed frame per message.
 //!
+//! A channel frame between node threads carries one *or more* complete
+//! wire frames back to back: a node thread coalesces the data messages
+//! it sends one destination while draining its inbox into a single
+//! channel send (see the runtime's module docs). Nothing marks the
+//! batch — the concatenation decodes exactly like the same frames sent
+//! one by one, so [`LinkDecoder`] and the TCP link payload read it
+//! unchanged.
+//!
 //! Two payload codecs sit behind the same framing ([`WireCodec`]):
 //!
 //! * **Binary** (the default) — a [`layercake_event::KIND_MSG`] byte,
@@ -25,8 +33,6 @@
 //! allocation across messages; nothing on the encode path panics — the
 //! frame-cap check that used to `expect()` now surfaces as a
 //! [`WireError`].
-
-use std::cell::RefCell;
 
 use layercake_event::{
     write_varint, BinCodec, CodecError, DecodeDict, DictMode, EncodeDict, FrameDecoder, FrameError,
@@ -219,34 +225,37 @@ pub fn encode_hello(mode: DictMode) -> Vec<u8> {
     out
 }
 
-thread_local! {
-    /// Per-thread reusable encode state for the in-process dispatch hot
-    /// path: dispatch is called from every node thread, and in-process
-    /// links always run the shared dictionary, so one `(dict, buffer)`
-    /// pair per thread serves every destination without locking.
-    static DISPATCH_BUF: RefCell<(EncodeDict, Vec<u8>)> =
-        RefCell::new((EncodeDict::new(DictMode::Shared), Vec::with_capacity(256)));
-}
-
-/// Encodes one message for the router's dispatch path, reusing a
-/// thread-local buffer for the encode itself; the returned `Vec` is
-/// sized exactly to the frame (channel ownership needs an owned buffer,
-/// but the working buffer's growth is amortized away).
+/// Splits the wire frame at the start of `bytes` into its payload and
+/// the frame's total length (header plus payload). A channel frame is a
+/// run of complete wire frames, so a node thread walks it with this
+/// instead of buffering it through a [`LinkDecoder`].
 ///
 /// # Errors
 ///
-/// As [`encode_msg_into`].
-pub(crate) fn encode_for_dispatch(
-    codec: WireCodec,
-    from: ActorId,
-    msg: &OverlayMsg,
-) -> Result<Vec<u8>, WireError> {
-    DISPATCH_BUF.with(|cell| {
-        let (dict, buf) = &mut *cell.borrow_mut();
-        buf.clear();
-        encode_msg_into(codec, from, msg, dict, buf)?;
-        Ok(buf.as_slice().to_vec())
-    })
+/// [`FrameError::Truncated`] when the rest is shorter than the frame its
+/// header announces, [`FrameError::Oversized`] past the frame cap.
+pub(crate) fn split_wire_frame(bytes: &[u8]) -> Result<(&[u8], usize), FrameError> {
+    let Some(header) = bytes.get(..FRAME_HEADER_LEN) else {
+        return Err(FrameError::Truncated {
+            have: bytes.len(),
+            need: FRAME_HEADER_LEN,
+        });
+    };
+    let len = u32::from_le_bytes(header.try_into().expect("4-byte header")) as usize;
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(FrameError::Oversized {
+            len,
+            max: MAX_FRAME_PAYLOAD,
+        });
+    }
+    let end = FRAME_HEADER_LEN + len;
+    match bytes.get(FRAME_HEADER_LEN..end) {
+        Some(payload) => Ok((payload, end)),
+        None => Err(FrameError::Truncated {
+            have: bytes.len(),
+            need: end,
+        }),
+    }
 }
 
 /// Decodes one frame payload back into `(sender, message)`, or consumes
@@ -539,16 +548,40 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_buffer_reuse_matches_fresh_encode() {
-        let msg = deliver_msg();
-        let via_tls = encode_for_dispatch(WireCodec::Binary, ActorId(7), &msg).unwrap();
+    fn split_wire_frame_walks_a_coalesced_frame() {
         let mut dict = EncodeDict::new(DictMode::Shared);
-        let fresh = encode_msg(WireCodec::Binary, ActorId(7), &msg, &mut dict).unwrap();
-        assert_eq!(via_tls, fresh);
-        // And again, exercising the cleared-buffer path.
-        assert_eq!(
-            encode_for_dispatch(WireCodec::Binary, ActorId(7), &msg).unwrap(),
-            fresh
-        );
+        let mut buf = Vec::new();
+        for from in 0..3 {
+            encode_msg_into(
+                WireCodec::Binary,
+                ActorId(from),
+                &deliver_msg(),
+                &mut dict,
+                &mut buf,
+            )
+            .unwrap();
+        }
+        let mut rest = &buf[..];
+        let mut decode = DecodeDict::new(DictMode::Shared);
+        for from in 0..3 {
+            let (payload, len) = split_wire_frame(rest).unwrap();
+            let decoded = decode_payload(WireCodec::Binary, payload, &mut decode).unwrap();
+            assert_eq!(decoded, Some((ActorId(from), deliver_msg())));
+            rest = &rest[len..];
+        }
+        assert!(rest.is_empty());
+        // A short remainder is a framing error, never read past.
+        assert!(matches!(
+            split_wire_frame(&buf[..buf.len() / 3 - 1]),
+            Err(FrameError::Truncated { .. })
+        ));
+        assert!(matches!(
+            split_wire_frame(&buf[..2]),
+            Err(FrameError::Truncated { have: 2, .. })
+        ));
+        assert!(matches!(
+            split_wire_frame(&[0xFF; 8]),
+            Err(FrameError::Oversized { .. })
+        ));
     }
 }

@@ -288,10 +288,16 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         prom_value(body2, "layercake_rt_frames_sent ")
             >= prom_value(body, "layercake_rt_frames_sent ")
     );
+    // Every channel send carries at least one wire frame.
+    assert!(body2.contains("# TYPE layercake_rt_channel_sends counter"));
+    let sends = prom_value(body2, "layercake_rt_channel_sends ");
+    assert!(sends > 0);
+    assert!(sends <= prom_value(body2, "layercake_rt_frames_sent "));
 
     // The structured snapshot reads the same registry.
     let snap = rt.snapshot();
     assert_eq!(snap.published, 40);
+    assert!(snap.channel_sends >= sends && snap.channel_sends <= snap.frames_sent);
     assert!(snap.stage("stage.match_ns").unwrap().count() > 0);
     assert!(snap.stage("stage.decode_ns").unwrap().count() > 0);
     assert!(snap.stage("stage.encode_ns").unwrap().count() > 0);
