@@ -161,12 +161,33 @@ struct CrashRestart {
     recovered_total: u64,
 }
 
+/// What a runtime restarted over `dir` replays ahead of its first new
+/// event: every logged record past its durable consumer's persisted
+/// offset, summed over the shard logs (`<dir>/b<b>/s<s>`).
+fn unacked_backlog(dir: &Path) -> u64 {
+    let mut backlog = 0;
+    for broker in std::fs::read_dir(dir).expect("read durable dir") {
+        for shard in std::fs::read_dir(broker.expect("broker dir").path()).expect("read broker dir")
+        {
+            let log = open_log(&shard.expect("shard dir").path(), 1);
+            for dest in log.consumer_dests() {
+                for class in log.consumer_classes(dest) {
+                    backlog += log.tail_off(class) - log.acked_upto(dest, class);
+                }
+            }
+        }
+    }
+    backlog
+}
+
 /// End-to-end through the runtime: log under real traffic, kill the
 /// process state without the final flush, restart over the directory,
 /// and count what the durable subscriber gets back.
 fn rt_crash_restart(events: u64) -> CrashRestart {
     let dir = scratch_dir("rt");
-    let run = |seqs: std::ops::Range<u64>, crash: bool| {
+    // `replay` is how many logged records the run delivers ahead of its
+    // own events; it waits for both.
+    let run = |seqs: std::ops::Range<u64>, replay: u64, crash: bool| {
         let mut registry = TypeRegistry::new();
         let class = registry
             .register(
@@ -200,8 +221,8 @@ fn rt_crash_restart(events: u64) -> CrashRestart {
             publisher.publish(bench_event(seq));
         }
         assert!(
-            rt.wait_delivered(n, Duration::from_secs(120)),
-            "crash-restart run delivered {} of {n}",
+            rt.wait_delivered(replay + n, Duration::from_secs(120)),
+            "crash-restart run delivered {} of {replay} replayed + {n} new",
             rt.stats().delivered()
         );
         let report = if crash { rt.kill() } else { rt.shutdown() };
@@ -209,8 +230,8 @@ fn rt_crash_restart(events: u64) -> CrashRestart {
     };
 
     let half = events / 2;
-    let (first, _) = run(0..half, true);
-    let (second, d2) = run(half..events, false);
+    let (first, _) = run(0..half, 0, true);
+    let (second, d2) = run(half..events, unacked_backlog(&dir), false);
     let union: BTreeSet<EventSeq> = first.iter().chain(second.iter()).copied().collect();
     assert_eq!(
         union.len() as u64,

@@ -221,17 +221,9 @@ fn read_baseline(path: &str) -> Option<(f64, u64)> {
         serde_json::Value::Array(rows) => rows,
         _ => return None,
     };
-    // E17 runs each shard count under both wire codecs; this runtime
-    // uses the default (binary) codec, so compare against the binary
-    // 1-shard row. Older single-codec baselines have no codec field —
-    // accept their 1-shard row as-is.
-    let one_shard = runs.iter().find(|r| {
-        json_u64(r.field("shards")) == Some(1)
-            && match r.field("codec") {
-                serde_json::Value::Str(s) => s == "binary",
-                _ => true,
-            }
-    })?;
+    let one_shard = runs
+        .iter()
+        .find(|r| json_u64(r.field("shards")) == Some(1))?;
     let eps = json_f64(one_shard.field("events_per_sec"))?;
     Some((eps, events))
 }

@@ -1,16 +1,13 @@
 //! E17 — wall-clock runtime throughput: events/sec and end-to-end
 //! latency through the multi-threaded broker runtime (`layercake-rt`),
-//! against the matcher shard count and the wire codec.
+//! against the matcher shard count.
 //!
 //! The runtime runs every broker matcher shard and every subscriber as
 //! an OS thread exchanging length-prefixed wire frames, so each hop
 //! pays real serialize/deserialize cost. Events are hashed by class
 //! across the shards of each broker, which is the runtime's scaling
 //! lever: with enough cores, the per-event deserialize + match +
-//! re-serialize cost spreads across shards. Every shard count runs
-//! twice — once with the legacy JSON codec, once with the compact
-//! binary codec — so the JSON-vs-binary delta is measured on the same
-//! workload in the same process.
+//! re-serialize cost spreads across shards.
 //!
 //! Latency is stamped at ingress dequeue: the broker re-bases each
 //! externally published event's trace clock when its ingress shard
@@ -34,10 +31,10 @@
 //!   2. every timed run delivers exactly `events` events, with zero
 //!      decode or encode errors, and the latency histogram holds one
 //!      sample per delivery;
-//!   3. at 1 shard, the binary codec moves at most half the wire bytes
-//!      of the JSON codec on the identical workload;
+//!   3. at 1 shard, a wire message averages at most
+//!      [`BYTES_PER_FRAME_BOUND`] bytes;
 //!   4. **only when this host has ≥ 4 cores**: 4 shards must deliver
-//!      ≥ 2x the events/sec of 1 shard (binary codec). On smaller
+//!      ≥ 2x the events/sec of 1 shard. On smaller
 //!      hosts (CI smoke runs included) the check cannot physically
 //!      hold — OS threads time-slice one core — so it is skipped and
 //!      the JSON records `"scaling_gate_active": false`.
@@ -58,18 +55,17 @@ use layercake_event::{
 use layercake_filter::Filter;
 use layercake_metrics::render_table;
 use layercake_overlay::OverlayConfig;
-use layercake_rt::{RtConfig, Runtime, WireCodec};
+use layercake_rt::{RtConfig, Runtime};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const CLASSES: usize = 8;
 const PUBLISHERS: usize = 2;
 
-fn codec_name(codec: WireCodec) -> &'static str {
-    match codec {
-        WireCodec::Json => "json",
-        WireCodec::Binary => "binary",
-    }
-}
+/// The wire-compactness gate: half of the 239.2 B per wire message the
+/// former JSON codec moved at 1 shard (9574520 bytes over 40024 frames,
+/// `docs/results/BENCH_throughput.json` as written at commit d8a8730),
+/// kept as an absolute bound once the JSON codec was removed.
+const BYTES_PER_FRAME_BOUND: f64 = 119.6;
 
 fn registry_with_classes() -> (TypeRegistry, Vec<ClassId>) {
     let mut registry = TypeRegistry::new();
@@ -106,14 +102,13 @@ fn event_stream(classes: &[ClassId], events: usize) -> Vec<Envelope> {
 
 /// Starts the runtime, advertises every class, and subscribes one node
 /// per class (matching the whole class via `region = 0`).
-fn build_runtime(shards: usize, codec: WireCodec) -> (Runtime, Vec<ClassId>) {
+fn build_runtime(shards: usize) -> (Runtime, Vec<ClassId>) {
     let (registry, classes) = registry_with_classes();
     let overlay = OverlayConfig {
         levels: vec![1],
         ..OverlayConfig::default()
     };
-    let mut cfg = RtConfig::new(overlay, shards);
-    cfg.codec = codec;
+    let cfg = RtConfig::new(overlay, shards);
     let mut rt = Runtime::start(cfg, Arc::new(registry)).expect("start runtime");
     for &class in &classes {
         rt.advertise(Advertisement::new(
@@ -140,8 +135,8 @@ struct RunResult {
 /// One timed run: publish `events` pre-built envelopes from
 /// `PUBLISHERS` threads, wait for every delivery, and read the stats
 /// out of the shutdown report.
-fn timed_run(shards: usize, codec: WireCodec, events: usize) -> RunResult {
-    let (rt, classes) = build_runtime(shards, codec);
+fn timed_run(shards: usize, events: usize) -> RunResult {
+    let (rt, classes) = build_runtime(shards);
     let stream = event_stream(&classes, events);
     let chunk = events.div_ceil(PUBLISHERS);
 
@@ -158,8 +153,7 @@ fn timed_run(shards: usize, codec: WireCodec, events: usize) -> RunResult {
     });
     assert!(
         rt.wait_delivered(events as u64, Duration::from_secs(120)),
-        "run at {shards} shards ({}) delivered {} of {events}",
-        codec_name(codec),
+        "run at {shards} shards delivered {} of {events}",
         rt.stats().delivered()
     );
     let elapsed = start.elapsed();
@@ -182,8 +176,8 @@ fn timed_run(shards: usize, codec: WireCodec, events: usize) -> RunResult {
 
 /// Small correctness run: every matching event arrives exactly once, in
 /// publisher order per class (single publisher, FIFO links).
-fn correctness_run(codec: WireCodec) {
-    let (rt, classes) = build_runtime(2, codec);
+fn correctness_run() {
+    let (rt, classes) = build_runtime(2);
     let stream = event_stream(&classes, 256);
     let publisher = rt.publisher();
     for env in &stream {
@@ -218,55 +212,41 @@ fn main() {
 
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    eprintln!("E17: correctness runs (both codecs) …");
-    correctness_run(WireCodec::Json);
-    correctness_run(WireCodec::Binary);
+    eprintln!("E17: correctness run …");
+    correctness_run();
 
     eprintln!("E17: {events} events per run, {cores} cores available …");
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    // results[codec_idx][shard_idx]: 0 = json, 1 = binary.
-    let mut results: [Vec<RunResult>; 2] = [Vec::new(), Vec::new()];
-    for (ci, codec) in [WireCodec::Json, WireCodec::Binary].into_iter().enumerate() {
-        for &shards in &SHARD_COUNTS {
-            let r = timed_run(shards, codec, events);
-            eprintln!(
-                "  {} / {shards} shards: {:.0} events/sec, {} wire bytes",
-                codec_name(codec),
-                r.events_per_sec,
-                r.bytes_sent
-            );
-            rows.push(vec![
-                codec_name(codec).to_string(),
-                shards.to_string(),
-                format!("{:.0}", r.events_per_sec),
-                format!("{:.1}", r.p50_ns as f64 / 1000.0),
-                format!("{:.1}", r.p99_ns as f64 / 1000.0),
-                format!("{:.1}", r.queue_wait_p50_ns as f64 / 1000.0),
-                r.frames_sent.to_string(),
-                r.bytes_sent.to_string(),
-            ]);
-            json_rows.push(format!(
-                "    {{\"codec\": \"{}\", \"shards\": {shards}, \"events_per_sec\": {:.1}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"queue_wait_p50_ns\": {}, \
-                 \"frames_sent\": {}, \"bytes_sent\": {}}}",
-                codec_name(codec),
-                r.events_per_sec,
-                r.p50_ns,
-                r.p99_ns,
-                r.queue_wait_p50_ns,
-                r.frames_sent,
-                r.bytes_sent
-            ));
-            results[ci].push(r);
-        }
+    let mut results = Vec::new();
+    for &shards in &SHARD_COUNTS {
+        let r = timed_run(shards, events);
+        eprintln!(
+            "  {shards} shards: {:.0} events/sec, {} wire bytes",
+            r.events_per_sec, r.bytes_sent
+        );
+        rows.push(vec![
+            shards.to_string(),
+            format!("{:.0}", r.events_per_sec),
+            format!("{:.1}", r.p50_ns as f64 / 1000.0),
+            format!("{:.1}", r.p99_ns as f64 / 1000.0),
+            format!("{:.1}", r.queue_wait_p50_ns as f64 / 1000.0),
+            r.frames_sent.to_string(),
+            r.bytes_sent.to_string(),
+        ]);
+        json_rows.push(format!(
+            "    {{\"shards\": {shards}, \"events_per_sec\": {:.1}, \
+             \"p50_ns\": {}, \"p99_ns\": {}, \"queue_wait_p50_ns\": {}, \
+             \"frames_sent\": {}, \"bytes_sent\": {}}}",
+            r.events_per_sec, r.p50_ns, r.p99_ns, r.queue_wait_p50_ns, r.frames_sent, r.bytes_sent
+        ));
+        results.push(r);
     }
     println!("runtime throughput, {events} events per run ({cores} cores):\n");
     println!(
         "{}",
         render_table(
             &[
-                "codec",
                 "shards",
                 "events/sec",
                 "p50 us",
@@ -281,8 +261,7 @@ fn main() {
     println!(
         "reading guide: every hop serializes, frames, deframes, and\n\
          deserializes each event, so events/sec measures the full wire\n\
-         cost and the codec rows isolate the serde delta on an identical\n\
-         workload. p50/p99 are pipeline time from ingress dequeue; the\n\
+         cost. p50/p99 are pipeline time from ingress dequeue; the\n\
          queue column is how long events sat in the publish queue first\n\
          (an open-loop publisher artifact, reported separately on\n\
          purpose). Shard scaling needs real cores: on a single-CPU host\n\
@@ -290,27 +269,19 @@ fn main() {
          work.\n"
     );
 
-    let (json_1, bin_1) = (&results[0][0], &results[1][0]);
-    let speedup_1shard = bin_1.events_per_sec / json_1.events_per_sec;
-    let bytes_ratio_1shard = bin_1.bytes_sent as f64 / json_1.bytes_sent as f64;
-    println!(
-        "binary vs json at 1 shard: {speedup_1shard:.2}x events/sec, \
-         {bytes_ratio_1shard:.3}x wire bytes\n"
-    );
+    let one_shard = &results[0];
+    let bytes_per_frame_1shard = one_shard.bytes_sent as f64 / one_shard.frames_sent as f64;
+    println!("wire bytes per message at 1 shard: {bytes_per_frame_1shard:.1}\n");
 
     // ---- machine-readable output --------------------------------------
     let gate_active = cores >= 4;
     let json = format!(
         "{{\n  \"experiment\": \"E17\",\n  \"events_per_run\": {events},\n  \
          \"cores\": {cores},\n  \"scaling_gate_active\": {gate_active},\n  \
-         \"runs\": [\n{}\n  ],\n  \"comparison\": {{\n    \
-         \"json_1shard_events_per_sec\": {:.1},\n    \
-         \"binary_1shard_events_per_sec\": {:.1},\n    \
-         \"speedup_1shard\": {speedup_1shard:.3},\n    \
-         \"bytes_ratio_1shard\": {bytes_ratio_1shard:.4}\n  }}\n}}\n",
-        json_rows.join(",\n"),
-        json_1.events_per_sec,
-        bin_1.events_per_sec
+         \"runs\": [\n{}\n  ],\n  \
+         \"bytes_per_frame_1shard\": {bytes_per_frame_1shard:.2},\n  \
+         \"bytes_per_frame_bound\": {BYTES_PER_FRAME_BOUND:.1}\n}}\n",
+        json_rows.join(",\n")
     );
     std::fs::create_dir_all(out_dir).expect("create out_dir");
     let path = format!("{out_dir}/BENCH_throughput.json");
@@ -318,23 +289,21 @@ fn main() {
     println!("wrote {path}");
 
     // ---- shape checks -------------------------------------------------
-    for (ci, per_codec) in results.iter().enumerate() {
-        for (&shards, r) in SHARD_COUNTS.iter().zip(per_codec) {
-            assert!(
-                r.events_per_sec > 0.0 && r.events_per_sec.is_finite(),
-                "events/sec at {shards} shards (codec {ci}) must be positive"
-            );
-        }
+    for (&shards, r) in SHARD_COUNTS.iter().zip(&results) {
+        assert!(
+            r.events_per_sec > 0.0 && r.events_per_sec.is_finite(),
+            "events/sec at {shards} shards must be positive"
+        );
     }
     assert!(
-        bytes_ratio_1shard <= 0.5,
-        "binary codec must move at most half the JSON wire bytes \
-         (json: {} bytes, binary: {} bytes, ratio {bytes_ratio_1shard:.3})",
-        json_1.bytes_sent,
-        bin_1.bytes_sent
+        bytes_per_frame_1shard <= BYTES_PER_FRAME_BOUND,
+        "a wire message must average at most {BYTES_PER_FRAME_BOUND} bytes at 1 shard \
+         ({} bytes over {} frames = {bytes_per_frame_1shard:.1})",
+        one_shard.bytes_sent,
+        one_shard.frames_sent
     );
     if gate_active {
-        let (one, four) = (results[1][0].events_per_sec, results[1][2].events_per_sec);
+        let (one, four) = (results[0].events_per_sec, results[2].events_per_sec);
         assert!(
             four >= one * 2.0,
             "with {cores} cores, 4 shards must be >= 2x the 1-shard rate \

@@ -1,16 +1,16 @@
 //! E21 — wire codec and transport microbenchmark: what one message
-//! costs to encode, decode, and carry, JSON vs the compact binary
-//! codec, and what moving broker links from in-process channels to
-//! real TCP sockets costs end to end.
+//! costs to encode, decode, and carry with the compact binary codec,
+//! and what moving broker links from in-process channels to real TCP
+//! sockets costs end to end.
 //!
 //! Part 1 (codec): the E17 workload's `OverlayMsg::Publish` envelopes
-//! (8 classes, two int attributes) are pushed through three codecs —
+//! (8 classes, two int attributes) are pushed through the codec in both
+//! dictionary modes —
 //!
-//!   * `json` — the legacy serde wire format;
-//!   * `binary_shared` — the compact codec in shared-dictionary mode
+//!   * `binary_shared` — shared-dictionary mode
 //!     (in-process links: the global attribute interner IS the
 //!     dictionary, no updates on the wire);
-//!   * `binary_negotiated` — the compact codec in negotiated mode
+//!   * `binary_negotiated` — negotiated mode
 //!     (cross-process links: the sender announces names once, then
 //!     references dense wire ids), measured at steady state after the
 //!     dictionary has been announced.
@@ -25,8 +25,8 @@
 //! host the TCP run measures syscall overhead under time-slicing, which
 //! is informative but not stable enough to assert on.
 //!
-//! Regression gate (the binary exits non-zero on violation): the binary
-//! codec's bytes/msg must be ≤ 0.5x JSON's on this workload, in both
+//! Regression gate (the binary exits non-zero on violation): the codec's
+//! bytes/msg must be ≤ [`BYTES_PER_MSG_BOUND`] on this workload, in both
 //! dictionary modes. This is the wire-compactness claim CI holds the
 //! codec to.
 //!
@@ -45,9 +45,15 @@ use layercake_event::{
 use layercake_filter::Filter;
 use layercake_metrics::render_table;
 use layercake_overlay::{OverlayConfig, OverlayMsg};
-use layercake_rt::{RtConfig, Runtime, TransportKind, WireCodec};
+use layercake_rt::{RtConfig, Runtime, TransportKind};
 
 const CLASSES: usize = 8;
+
+/// The bytes/msg gate: half of the 149.69 B the former JSON codec moved
+/// per message on this workload (`docs/results/BENCH_wire.json` as
+/// written at commit d8a8730), kept as an absolute bound once the JSON
+/// codec was removed.
+const BYTES_PER_MSG_BOUND: f64 = 74.8;
 
 /// E17-shaped messages: one `Publish` per class with the same two int
 /// attributes the throughput bench uses.
@@ -73,34 +79,6 @@ struct CodecResult {
     encode_ns_per_msg: f64,
     decode_ns_per_msg: f64,
     bytes_per_msg: f64,
-}
-
-fn bench_json(msgs: &[OverlayMsg], iters: usize) -> CodecResult {
-    let mut bytes_total = 0usize;
-    let start = Instant::now();
-    for i in 0..iters {
-        let buf = serde_json::to_vec(&msgs[i % msgs.len()]).expect("json encode");
-        bytes_total += buf.len();
-    }
-    let encode = start.elapsed();
-
-    let encoded: Vec<Vec<u8>> = msgs
-        .iter()
-        .map(|m| serde_json::to_vec(m).expect("json encode"))
-        .collect();
-    let start = Instant::now();
-    for i in 0..iters {
-        let back: OverlayMsg =
-            serde_json::from_slice(&encoded[i % encoded.len()]).expect("json decode");
-        assert_eq!(&back, &msgs[i % msgs.len()], "json round trip diverged");
-    }
-    let decode = start.elapsed();
-    CodecResult {
-        name: "json",
-        encode_ns_per_msg: encode.as_nanos() as f64 / iters as f64,
-        decode_ns_per_msg: decode.as_nanos() as f64 / iters as f64,
-        bytes_per_msg: bytes_total as f64 / iters as f64,
-    }
 }
 
 fn bench_binary(
@@ -184,7 +162,6 @@ fn transport_run(transport: TransportKind, events: usize) -> f64 {
         ..OverlayConfig::default()
     };
     let mut cfg = RtConfig::new(overlay, 2);
-    cfg.codec = WireCodec::Binary;
     cfg.transport = transport;
     let mut rt = Runtime::start(cfg, Arc::new(registry)).expect("start runtime");
     for &class in &classes {
@@ -234,7 +211,6 @@ fn main() {
     let msgs = workload();
     eprintln!("E21: codec microbench, {iters} iterations per codec …");
     let results = [
-        bench_json(&msgs, iters),
         bench_binary(DictMode::Shared, "binary_shared", &msgs, iters),
         bench_binary(DictMode::Negotiated, "binary_negotiated", &msgs, iters),
     ];
@@ -291,13 +267,10 @@ fn main() {
             )
         })
         .collect();
-    let shared_ratio = results[1].bytes_per_msg / results[0].bytes_per_msg;
-    let negotiated_ratio = results[2].bytes_per_msg / results[0].bytes_per_msg;
     let json = format!(
         "{{\n  \"experiment\": \"E21\",\n  \"iters\": {iters},\n  \
          \"cores\": {cores},\n  \"codec\": [\n{}\n  ],\n  \
-         \"bytes_ratio_shared\": {shared_ratio:.4},\n  \
-         \"bytes_ratio_negotiated\": {negotiated_ratio:.4},\n  \
+         \"bytes_per_msg_bound\": {BYTES_PER_MSG_BOUND:.1},\n  \
          \"transport\": [\n    \
          {{\"name\": \"mpsc\", \"events_per_sec\": {mpsc_eps:.1}}},\n    \
          {{\"name\": \"tcp\", \"events_per_sec\": {tcp_eps:.1}}}\n  ]\n}}\n",
@@ -309,18 +282,17 @@ fn main() {
     println!("wrote {path}");
 
     // ---- regression gate ----------------------------------------------
-    for (name, ratio) in [("shared", shared_ratio), ("negotiated", negotiated_ratio)] {
+    for r in &results {
         assert!(
-            ratio <= 0.5,
-            "binary codec ({name} dict) must use <= 0.5x JSON bytes/msg, got {ratio:.3}x \
-             ({:.1} vs {:.1} bytes)",
-            results[if name == "shared" { 1 } else { 2 }].bytes_per_msg,
-            results[0].bytes_per_msg
+            r.bytes_per_msg <= BYTES_PER_MSG_BOUND,
+            "{} must use <= {BYTES_PER_MSG_BOUND} bytes/msg, got {:.1}",
+            r.name,
+            r.bytes_per_msg
         );
     }
     assert!(
         mpsc_eps > 0.0 && tcp_eps > 0.0,
         "transport runs must complete"
     );
-    println!("regression gate passed: binary <= 0.5x JSON wire bytes.");
+    println!("regression gate passed: <= {BYTES_PER_MSG_BOUND} wire bytes/msg.");
 }

@@ -1,20 +1,19 @@
-//! Compact binary wire codec: varint primitives, bounds-checked reading,
-//! and the per-connection attribute dictionary.
+//! Compact binary codec: varint primitives, bounds-checked reading,
+//! and the attribute dictionary.
 //!
-//! The JSON wire format (tagged objects, attribute *names* spelled out on
-//! every hop) is what E17 measured as the system's scaling ceiling: the
-//! marshalling cost dominates matching. This module replaces it with a
-//! compact binary encoding:
+//! This is the one encoding of an event: the runtime's wire frames and
+//! the broker's write-ahead log records both carry it.
 //!
 //! * **varints** — LEB128 for unsigned integers, zigzag for signed, so
-//!   sequence numbers, offsets and ids cost 1–2 bytes instead of a JSON
-//!   number plus a quoted field name;
+//!   sequence numbers, offsets and ids cost 1–2 bytes;
 //! * **attribute dictionary** — attribute (and class) names travel as
 //!   small integer ids. Inside one process the global [`AttrId`] interner
 //!   *is* the dictionary ([`DictMode::Shared`]); across a socket each
 //!   connection negotiates its own dense id space via dictionary-update
 //!   frames ([`DictMode::Negotiated`]), so a name crosses the wire once
-//!   per connection instead of once per message;
+//!   per connection instead of once per message. A log record carries
+//!   its own negotiated dictionary, because interned ids are
+//!   process-local and must not reach disk;
 //! * **bounds-checked decoding** — [`WireReader`] never reads past its
 //!   slice and every length is validated against the bytes actually
 //!   present *before* any allocation, so garbage and truncated input is

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
-
 use crate::intern::AttrId;
 use crate::value::AttrValue;
 
@@ -184,32 +182,6 @@ impl IntoIterator for EventData {
     }
 }
 
-// Wire shape: `{"attrs": [[name, value], ...]}` — identical to the previous
-// `Vec<(String, AttrValue)>` representation, so ids never leak off-process.
-impl Serialize for EventData {
-    fn serialize_value(&self) -> Value {
-        let items = self
-            .attrs
-            .iter()
-            .map(|(n, v)| Value::Array(vec![Value::Str(n.name().to_owned()), v.serialize_value()]))
-            .collect();
-        let mut obj = Value::object();
-        obj.insert_field("attrs", Value::Array(items));
-        obj
-    }
-}
-
-impl Deserialize for EventData {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let pairs: Vec<(String, AttrValue)> = serde::__field(v, "attrs")?;
-        let mut data = EventData::with_capacity(pairs.len());
-        for (n, v) in pairs {
-            data.insert(n, v);
-        }
-        Ok(data)
-    }
-}
-
 /// Builds [`EventData`] from `(name, value)` literals.
 ///
 /// ```
@@ -306,22 +278,6 @@ mod tests {
         .collect();
         assert_eq!(e.len(), 1);
         assert_eq!(e.get("a"), Some(&AttrValue::Int(2)));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let e = sample();
-        let s = serde_json::to_string(&e).unwrap();
-        let back: EventData = serde_json::from_str(&s).unwrap();
-        assert_eq!(e, back);
-    }
-
-    #[test]
-    fn serde_wire_shape_carries_names() {
-        // Ids are process-local: the serialized form must spell out names.
-        let e = event_data! { "symbol" => "Foo" };
-        let s = serde_json::to_string(&e).unwrap();
-        assert!(s.contains("symbol"), "wire form lacks the name: {s}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::class::ClassId;
 use crate::data::EventData;
@@ -240,36 +240,6 @@ impl Envelope {
     }
 }
 
-// Hand-written because the derive macro cannot see through `Arc`; the wire
-// shape is the flat six-field object the derived form used to produce, so
-// serialized envelopes are indistinguishable from pre-split ones.
-impl Serialize for Envelope {
-    fn serialize_value(&self) -> Value {
-        let mut obj = Value::object();
-        obj.insert_field("class", self.body.class.serialize_value());
-        obj.insert_field("class_name", self.body.class_name.serialize_value());
-        obj.insert_field("seq", self.body.seq.serialize_value());
-        obj.insert_field("meta", self.body.meta.serialize_value());
-        obj.insert_field("payload", self.body.payload.serialize_value());
-        obj.insert_field("trace", self.trace.serialize_value());
-        obj
-    }
-}
-
-impl Deserialize for Envelope {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let mut env = Envelope::from_body(EnvelopeBody {
-            class: serde::__field(v, "class")?,
-            class_name: serde::__field(v, "class_name")?,
-            seq: serde::__field(v, "seq")?,
-            meta: serde::__field(v, "meta")?,
-            payload: serde::__field(v, "payload")?,
-        });
-        env.trace = serde::__field(v, "trace")?;
-        Ok(env)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,18 +339,5 @@ mod tests {
         assert_eq!(ctx.id, TraceId(5));
         assert_eq!(ctx.published_at, 7);
         assert_eq!(ctx.last_hop_at, 12);
-        // The context survives a serde round trip with the envelope.
-        let back: Envelope = serde_json::from_slice(&serde_json::to_vec(&env).unwrap()).unwrap();
-        assert_eq!(back, env);
-    }
-
-    #[test]
-    fn envelope_serde_round_trip() {
-        let s = Stock::new("Baz".to_owned(), 1.25);
-        let env = Envelope::encode(ClassId(2), EventSeq(9), &s).unwrap();
-        let bytes = serde_json::to_vec(&env).unwrap();
-        let back: Envelope = serde_json::from_slice(&bytes).unwrap();
-        assert_eq!(env, back);
-        assert_eq!(back.decode::<Stock>().unwrap(), s);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! The multi-threaded runtime (`layercake-rt`) exchanges serialized
 //! messages between node threads as *frames*: a 4-byte little-endian
-//! payload length followed by the payload bytes (here: the JSON encoding
-//! of an overlay message). Framing is what turns a byte stream into a
-//! message stream, and it is deliberately dumb — no checksums, no
-//! versioning — because the payload is self-describing JSON and both
-//! ends are the same binary.
+//! payload length followed by the payload bytes (here: the binary
+//! encoding of an overlay message, see [`crate::codec`]). Framing is what
+//! turns a byte stream into a message stream, and it is deliberately
+//! dumb — no checksums, no versioning — because the payload's first byte
+//! says what it is and both ends are the same binary.
 //!
 //! The decoder is incremental: bytes may arrive in arbitrary chunks
 //! (half a header, three frames at once) and [`FrameDecoder::next_frame`]
@@ -37,7 +37,7 @@ pub const FRAME_HEADER_LEN: usize = 4;
 pub const MAX_FRAME_PAYLOAD: usize = 16 * 1024 * 1024;
 
 /// A framing-layer failure (distinct from payload deserialization
-/// failures, which the serde layer reports).
+/// failures, which the payload codec reports).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// A frame header announced a payload beyond [`MAX_FRAME_PAYLOAD`] —

@@ -3,10 +3,12 @@
 
 use std::collections::BTreeMap;
 
-use layercake_event::{encode_record, scan_records, ClassId, Envelope, RECORD_HEADER_LEN};
+use layercake_event::{
+    encode_dict_update, encode_record, scan_records, write_bytes, write_varint, BinCodec, ClassId,
+    CodecError, DecodeDict, DictMode, EncodeDict, Envelope, WireReader, RECORD_HEADER_LEN,
+};
 use layercake_filter::DestId;
 use layercake_metrics::{DurabilityStats, PipelineStage, StageProfiler};
-use serde::{DeError, Deserialize, Serialize, Value};
 
 use super::storage::LogStorage;
 
@@ -32,30 +34,44 @@ impl Default for LogConfig {
 
 /// One record as it lives in the log: the event plus its per-class
 /// durable offset (1-based, monotone per class).
+///
+/// The payload is the wire codec's: a length-prefixed dictionary update,
+/// the class, the offset as a varint, then the envelope. Each record
+/// carries its own [`DictMode::Negotiated`] dictionary, so every name it
+/// uses is spelled out inside it and a log reads back in a process whose
+/// interner numbered the names differently.
 struct LogRecord {
     class: ClassId,
     off: u64,
     env: Envelope,
 }
 
-impl Serialize for LogRecord {
-    fn serialize_value(&self) -> Value {
-        let mut obj = Value::object();
-        obj.insert_field("class", u64::from(self.class.0).serialize_value());
-        obj.insert_field("off", self.off.serialize_value());
-        obj.insert_field("env", self.env.serialize_value());
-        obj
+impl LogRecord {
+    fn encode(class: ClassId, off: u64, env: &Envelope) -> Vec<u8> {
+        let mut dict = EncodeDict::new(DictMode::Negotiated);
+        let mut body = Vec::new();
+        class.encode_bin(&mut body, &mut dict);
+        write_varint(&mut body, off);
+        env.encode_bin(&mut body, &mut dict);
+        let mut update = Vec::new();
+        encode_dict_update(&dict.take_pending(), &mut update);
+        // Skip the update's frame-kind byte: a record holds exactly one.
+        // The length prefix takes its place for updates under 128 bytes.
+        let mut payload = Vec::with_capacity(update.len() + body.len());
+        write_bytes(&mut payload, &update[1..]);
+        payload.extend_from_slice(&body);
+        payload
     }
-}
 
-impl Deserialize for LogRecord {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let class: u64 = serde::__field(v, "class")?;
-        Ok(LogRecord {
-            class: ClassId(class as u32),
-            off: serde::__field(v, "off")?,
-            env: serde::__field(v, "env")?,
-        })
+    fn decode(payload: &[u8]) -> Result<Self, CodecError> {
+        let mut r = WireReader::new(payload);
+        let mut dict = DecodeDict::new(DictMode::Negotiated);
+        dict.apply_update(r.len_bytes()?)?;
+        let class = ClassId::decode_bin(&mut r, &dict)?;
+        let off = r.varint()?;
+        let env = Envelope::decode_bin(&mut r, &dict)?;
+        r.expect_end()?;
+        Ok(LogRecord { class, off, env })
     }
 }
 
@@ -162,12 +178,7 @@ impl DurableLog {
         let class = env.class();
         let off = self.tail_off(class) + 1;
         self.tail.insert(class.0, off);
-        let payload = serde_json::to_vec(&LogRecord {
-            class,
-            off,
-            env: env.clone(),
-        })
-        .expect("log record serializes");
+        let payload = LogRecord::encode(class, off, env);
         let rec = encode_record(&payload).expect("log record fits the frame cap");
         if self
             .segs
@@ -378,7 +389,7 @@ impl DurableLog {
             }
             let bytes = self.storage.read_segment(seg.id);
             for payload in scan_records(&bytes).records {
-                let Ok(rec) = serde_json::from_slice::<LogRecord>(&payload) else {
+                let Ok(rec) = LogRecord::decode(&payload) else {
                     continue;
                 };
                 if rec.class == class && rec.off > upto {
@@ -423,7 +434,7 @@ impl DurableLog {
             let mut valid_len = 0usize;
             let mut decode_cut = false;
             for payload in &scan.records {
-                match serde_json::from_slice::<LogRecord>(payload) {
+                match LogRecord::decode(payload) {
                     Ok(rec) => {
                         valid_len += RECORD_HEADER_LEN + payload.len();
                         let tail = self.tail.entry(rec.class.0).or_insert(0);
@@ -455,8 +466,7 @@ impl DurableLog {
         self.offsets = self
             .storage
             .read_meta()
-            .and_then(|bytes| serde_json::from_slice::<OffsetTable>(&bytes).ok())
-            .map(|t| t.entries)
+            .and_then(|bytes| decode_offsets(&bytes).ok())
             .unwrap_or_default();
         // A persisted ack above the recovered tail refers to records the
         // crash took (the offset table can legitimately be newer than the
@@ -487,11 +497,7 @@ impl DurableLog {
 
     /// Writes the consumer-offset table durably (atomic replace).
     fn persist_offsets(&mut self) {
-        let table = OffsetTable {
-            entries: self.offsets.clone(),
-        };
-        let bytes = serde_json::to_vec(&table).expect("offset table serializes");
-        self.storage.write_meta(&bytes);
+        self.storage.write_meta(&encode_offsets(&self.offsets));
         self.offsets_dirty = false;
     }
 
@@ -532,44 +538,31 @@ impl DurableLog {
     }
 }
 
-/// The persisted consumer-offset table (the metadata blob's schema).
-struct OffsetTable {
-    entries: BTreeMap<(u64, u32), u64>,
+/// Encodes the consumer-offset table (the metadata blob): a count, then
+/// one `(dest, class, upto)` varint triple per consumer.
+fn encode_offsets(entries: &BTreeMap<(u64, u32), u64>) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_varint(&mut out, entries.len() as u64);
+    for (&(dest, class), &upto) in entries {
+        write_varint(&mut out, dest);
+        write_varint(&mut out, u64::from(class));
+        write_varint(&mut out, upto);
+    }
+    out
 }
 
-impl Serialize for OffsetTable {
-    fn serialize_value(&self) -> Value {
-        let rows: Vec<Value> = self
-            .entries
-            .iter()
-            .map(|(&(dest, class), &upto)| {
-                let mut row = Value::object();
-                row.insert_field("dest", dest.serialize_value());
-                row.insert_field("class", u64::from(class).serialize_value());
-                row.insert_field("upto", upto.serialize_value());
-                row
-            })
-            .collect();
-        let mut obj = Value::object();
-        obj.insert_field("consumers", Value::Array(rows));
-        obj
+fn decode_offsets(bytes: &[u8]) -> Result<BTreeMap<(u64, u32), u64>, CodecError> {
+    let mut r = WireReader::new(bytes);
+    let n = r.count()?;
+    let mut entries = BTreeMap::new();
+    for _ in 0..n {
+        let dest = r.varint()?;
+        let class =
+            u32::try_from(r.varint()?).map_err(|_| CodecError::Invalid("class id exceeds u32"))?;
+        entries.insert((dest, class), r.varint()?);
     }
-}
-
-impl Deserialize for OffsetTable {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        let Value::Array(rows) = v.field("consumers") else {
-            return Err(DeError::msg("consumers must be an array"));
-        };
-        let mut entries = BTreeMap::new();
-        for row in rows {
-            let dest: u64 = serde::__field(row, "dest")?;
-            let class: u64 = serde::__field(row, "class")?;
-            let upto: u64 = serde::__field(row, "upto")?;
-            entries.insert((dest, class as u32), upto);
-        }
-        Ok(OffsetTable { entries })
-    }
+    r.expect_end()?;
+    Ok(entries)
 }
 
 #[cfg(test)]
@@ -795,10 +788,8 @@ mod tests {
             storage.append(0, &log.storage.read_segment(0));
             storage.sync(0);
         }
-        let table = OffsetTable {
-            entries: [((7u64, 0u32), 99u64)].into_iter().collect(),
-        };
-        storage.write_meta(&serde_json::to_vec(&table).expect("table serializes"));
+        let table = [((7u64, 0u32), 99u64)].into_iter().collect();
+        storage.write_meta(&encode_offsets(&table));
         let mut log = DurableLog::open(Box::new(storage), LogConfig::default());
         assert_eq!(
             log.acked_upto(DestId(7), ClassId(0)),
@@ -808,6 +799,81 @@ mod tests {
         // Offsets reused by new appends replay instead of being skipped.
         assert_eq!(log.append(&env(0, 5)), 3);
         assert_eq!(log.replay_after(ClassId(0), 2).len(), 1);
+    }
+
+    #[test]
+    fn crc_valid_non_records_are_cut_like_a_torn_tail() {
+        let mut src = small_log();
+        for i in 0..3 {
+            src.append(&env(0, i));
+        }
+        let bytes = src.storage.read_segment(0);
+        let records = scan_records(&bytes).records;
+        let prefix: usize = records[..2]
+            .iter()
+            .map(|p| RECORD_HEADER_LEN + p.len())
+            .sum();
+        // Two good records, a record whose CRC holds but whose payload is
+        // not a log record, then a good record the cut must take too.
+        let mut storage = MemStorage::new();
+        storage.append(0, &bytes[..prefix]);
+        storage.append(0, &encode_record(b"not a log record").unwrap());
+        storage.append(0, &bytes[prefix..]);
+        storage.sync(0);
+        let mut log = DurableLog::open(Box::new(storage), LogConfig::default());
+        assert_eq!(log.tail_off(ClassId(0)), 2);
+        assert_eq!(log.stats().torn_truncations, 1);
+        assert_eq!(log.storage.read_segment(0), bytes[..prefix]);
+        // Appends land on the repaired boundary and replay.
+        assert_eq!(log.append(&env(0, 9)), 3);
+        let replayed = log.replay_after(ClassId(0), 0);
+        let offs: Vec<u64> = replayed.iter().map(|(off, _)| *off).collect();
+        assert_eq!(offs, vec![1, 2, 3]);
+        assert_eq!(replayed[2].1.seq(), EventSeq(9));
+    }
+
+    #[test]
+    fn records_spell_out_their_names_and_round_trip() {
+        let mut meta = EventData::new();
+        meta.insert("wal-spelled-symbol", "Foo");
+        meta.insert("wal-spelled-price", 9.5);
+        let mut event = Envelope::from_meta(ClassId(4), "WalSpelledClass", EventSeq(77), meta);
+        event.set_trace(Some(layercake_event::TraceContext::new(
+            layercake_event::TraceId(5),
+            11,
+        )));
+        let mut log = small_log();
+        assert_eq!(log.append(&event), 1);
+        // Interned ids are process-local: a record must carry every name
+        // it uses, or another process could not read it back.
+        let bytes = log.storage.read_segment(0);
+        for name in ["wal-spelled-symbol", "wal-spelled-price", "WalSpelledClass"] {
+            assert!(
+                bytes.windows(name.len()).any(|w| w == name.as_bytes()),
+                "{name} is not spelled out in the record"
+            );
+        }
+        let payload = &scan_records(&bytes).records[0];
+        let rec = LogRecord::decode(payload).unwrap();
+        assert_eq!((rec.class, rec.off), (ClassId(4), 1));
+        assert_eq!(rec.env, event);
+        assert_eq!(log.replay_after(ClassId(4), 0), vec![(1, event)]);
+    }
+
+    #[test]
+    fn garbage_offset_tables_load_empty() {
+        let table = [((7u64, 0u32), 3u64), ((8, 1), 4)].into_iter().collect();
+        let good = encode_offsets(&table);
+        assert_eq!(decode_offsets(&good), Ok(table));
+        let truncated = &good[..good.len() - 1];
+        let trailing = [good.as_slice(), &[0]].concat();
+        let old_json = br#"{"consumers":[{"dest":7,"class":0,"upto":3}]}"#;
+        for blob in [&b""[..], b"\xff\xff\xff", truncated, &trailing, old_json] {
+            let mut storage = MemStorage::new();
+            storage.write_meta(blob);
+            let log = DurableLog::open(Box::new(storage), LogConfig::default());
+            assert!(log.consumer_dests().is_empty(), "{blob:?} loaded a table");
+        }
     }
 
     #[test]

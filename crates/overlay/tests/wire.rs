@@ -1,23 +1,39 @@
 //! Wire-protocol round-trip properties: every [`OverlayMsg`] must survive
-//! serialize → frame → deframe → deserialize with **byte-identical**
-//! re-encoding, because the wall-clock runtime pays this cycle on every
+//! encode → frame → deframe → decode with **byte-identical** re-encoding, because the wall-clock runtime pays this cycle on every
 //! hop and the simulator's virtual-time behavior must stay the reference.
 //! Also exercises the framing error paths (truncated streams, garbage
 //! length prefixes) the runtime relies on to reject corrupt peers.
 
 use layercake_event::{
-    encode_frame, Advertisement, ClassId, Envelope, EventData, EventSeq, FrameDecoder, FrameError,
-    StageMap, TraceContext, TraceId,
+    encode_frame, Advertisement, BinCodec, ClassId, CodecError, DecodeDict, DictMode, EncodeDict,
+    Envelope, EventData, EventSeq, FrameDecoder, FrameError, StageMap, TraceContext, TraceId,
+    WireReader,
 };
 use layercake_filter::{Filter, FilterId};
 use layercake_overlay::{OverlayMsg, SubscriptionReq};
 use layercake_sim::ActorId;
 use proptest::prelude::*;
 
-/// Serialize → frame → deframe → deserialize, asserting the decoded value
-/// equals the original and re-encodes to the exact same bytes.
+/// The binary payload of one message, in the in-process (shared
+/// dictionary) mode the runtime's channel links use.
+fn encode(msg: &OverlayMsg) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    msg.encode_bin(&mut bytes, &mut EncodeDict::new(DictMode::Shared));
+    bytes
+}
+
+/// Decodes one whole payload; trailing bytes are an error.
+fn decode(payload: &[u8]) -> Result<OverlayMsg, CodecError> {
+    let mut r = WireReader::new(payload);
+    let msg = OverlayMsg::decode_bin(&mut r, &DecodeDict::new(DictMode::Shared))?;
+    r.expect_end()?;
+    Ok(msg)
+}
+
+/// Encode → frame → deframe → decode, asserting the decoded value equals
+/// the original and re-encodes to the exact same bytes.
 fn round_trip(msg: &OverlayMsg) -> OverlayMsg {
-    let bytes = serde_json::to_vec(msg).expect("serialize");
+    let bytes = encode(msg);
     let framed = encode_frame(&bytes).expect("frame");
     let mut dec = FrameDecoder::new();
     dec.push(&framed);
@@ -28,8 +44,8 @@ fn round_trip(msg: &OverlayMsg) -> OverlayMsg {
     assert_eq!(payload, bytes, "framing must not alter the payload");
     assert!(dec.next_frame().expect("no trailing error").is_none());
     dec.finish().expect("no partial frame left behind");
-    let back: OverlayMsg = serde_json::from_slice(&payload).expect("deserialize");
-    let re = serde_json::to_vec(&back).expect("re-serialize");
+    let back = decode(&payload).expect("decode");
+    let re = encode(&back);
     assert_eq!(bytes, re, "re-encode of {msg:?} is not byte-identical");
     back
 }
@@ -163,14 +179,14 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for m in &msgs {
-            stream.extend_from_slice(&encode_frame(&serde_json::to_vec(m).unwrap()).unwrap());
+            stream.extend_from_slice(&encode_frame(&encode(m)).unwrap());
         }
         let mut dec = FrameDecoder::new();
         let mut out = Vec::new();
         for piece in stream.chunks(chunk) {
             dec.push(piece);
             while let Some(frame) = dec.next_frame().unwrap() {
-                out.push(serde_json::from_slice::<OverlayMsg>(&frame).unwrap());
+                out.push(decode(&frame).unwrap());
             }
         }
         dec.finish().unwrap();
@@ -181,7 +197,7 @@ proptest! {
     /// decoder reporting a truncated stream, never a phantom frame.
     #[test]
     fn truncated_frames_are_detected(msg in arb_msg(), cut_seed in 0usize..1_000_000) {
-        let framed = encode_frame(&serde_json::to_vec(&msg).unwrap()).unwrap();
+        let framed = encode_frame(&encode(&msg)).unwrap();
         let cut = 1 + cut_seed % (framed.len() - 1); // 1..framed.len()
         let mut dec = FrameDecoder::new();
         dec.push(&framed[..cut]);
@@ -212,9 +228,9 @@ proptest! {
         len in 0x0100_0001u32..=u32::MAX,
     ) {
         let mut dec = FrameDecoder::new();
-        dec.push(&encode_frame(&serde_json::to_vec(&msg).unwrap()).unwrap());
+        dec.push(&encode_frame(&encode(&msg)).unwrap());
         dec.push(&len.to_le_bytes());
-        dec.push(&encode_frame(&serde_json::to_vec(&after).unwrap()).unwrap());
+        dec.push(&encode_frame(&encode(&after)).unwrap());
         // The frame before the corruption still comes out.
         prop_assert!(dec.next_frame().unwrap().is_some());
         let err = dec.next_frame().expect_err("corrupt header must error");
@@ -226,16 +242,24 @@ proptest! {
     }
 }
 
-/// Garbage *payload* bytes inside a well-formed frame fail at the serde
-/// layer with an error, not a panic.
+/// Garbage *payload* bytes inside a well-formed frame fail in the codec
+/// with a typed error, not a panic.
 #[test]
 fn garbage_payloads_fail_cleanly() {
-    for payload in [&b"\xff\xfe\x00"[..], b"{}", b"{\"t\":\"Nope\"}", b"[]"] {
+    let renew = encode(&OverlayMsg::Renew);
+    let with_trailing = [renew.as_slice(), &[0]].concat();
+    let cases: [(&[u8], CodecError); 4] = [
+        (b"\xff\xfe\x00", CodecError::Tag(0xff)),
+        (b"", CodecError::Truncated),
+        (&[5], CodecError::Truncated), // a Publish tag with no envelope
+        (&with_trailing, CodecError::Trailing),
+    ];
+    for (payload, want) in cases {
         let framed = encode_frame(payload).unwrap();
         let mut dec = FrameDecoder::new();
         dec.push(&framed);
         let got = dec.next_frame().unwrap().unwrap();
         assert_eq!(got, payload);
-        assert!(serde_json::from_slice::<OverlayMsg>(&got).is_err());
+        assert_eq!(decode(&got), Err(want));
     }
 }

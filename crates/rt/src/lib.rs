@@ -11,10 +11,8 @@
 //! * threads exchange length-prefixed byte frames — over `std::sync::mpsc`
 //!   channels by default, or over real loopback TCP sockets with
 //!   [`TransportKind::Tcp`] — so each hop pays genuine
-//!   serialize/deserialize cost. Frames carry either the compact binary
-//!   codec (the default; varint integers plus an interned attribute
-//!   dictionary) or the legacy self-describing JSON encoding, selected
-//!   per runtime with [`RtConfig::codec`];
+//!   serialize/deserialize cost. Frames carry the compact binary codec
+//!   (varint integers plus an interned attribute dictionary);
 //! * separate *processes* talk to a broker through the [`remote`]
 //!   protocol: a handshake, a per-connection negotiated attribute
 //!   dictionary, then the same framed binary messages over TCP;

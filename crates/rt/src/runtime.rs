@@ -184,11 +184,6 @@ pub struct RtConfig {
     /// default) injects nothing and keeps the fault hooks to two hash
     /// probes per frame.
     pub fault_plan: Option<RtFaultPlan>,
-    /// Which payload encoding every link speaks:
-    /// [`WireCodec::Binary`] (the default — varints, tag bytes,
-    /// dictionary-interned attribute names) or [`WireCodec::Json`] (the
-    /// original format, kept as the measured baseline for E17/E21).
-    pub codec: WireCodec,
     /// Which link backend carries frames between node threads:
     /// in-process mpsc channels (the default) or loopback TCP sockets
     /// with per-link writer/reader threads ([`TransportKind::Tcp`]),
@@ -214,7 +209,6 @@ impl RtConfig {
             metrics_addr: None,
             supervision: SupervisionConfig::default(),
             fault_plan: None,
-            codec: WireCodec::default(),
             transport: TransportKind::default(),
         }
     }
@@ -384,8 +378,6 @@ pub(crate) struct Router {
     /// by data volume.
     ctrl: Arc<Vec<Mutex<Vec<Vec<u8>>>>>,
     pub(crate) epoch: Instant,
-    /// The payload codec every link speaks ([`RtConfig::codec`]).
-    pub(crate) codec: WireCodec,
     profiler: Arc<StageProfiler>,
     pub(crate) fault: Arc<FaultState>,
     /// Set once teardown begins: send failures stop counting as frame
@@ -398,7 +390,6 @@ impl Router {
         brokers: usize,
         shards: usize,
         epoch: Instant,
-        codec: WireCodec,
         profiler: Arc<StageProfiler>,
         fault: Arc<FaultState>,
     ) -> Self {
@@ -412,7 +403,6 @@ impl Router {
             shards,
             ctrl: Arc::new(ctrl),
             epoch,
-            codec,
             profiler,
             fault,
             teardown: Arc::new(AtomicBool::new(false)),
@@ -584,7 +574,7 @@ impl Router {
         sampled: bool,
     ) -> bool {
         let timer = sampled.then(Instant::now);
-        if wire::encode_msg_into(self.codec, from, msg, dict, buf).is_err() {
+        if wire::encode_msg_into(WireCodec::Binary, from, msg, dict, buf).is_err() {
             stats.inc_encode_errors();
             return false;
         }
@@ -1306,7 +1296,6 @@ impl Runtime {
             broker_count,
             cfg.shards,
             epoch,
-            cfg.codec,
             Arc::clone(&profiler),
             fault,
         );
@@ -2313,7 +2302,7 @@ fn rebuild_broker(
     broker.set_stage_profiler(Arc::clone(&shared.profiler));
     let prefix = shared.router.ctrl_prefix(b);
     let replayed = prefix.len() as u64;
-    let mut decoder = LinkDecoder::new(shared.router.codec);
+    let mut decoder = LinkDecoder::new(WireCodec::Binary);
     let mut ctx = MutedCtx {
         me: ActorId(b),
         epoch: shared.router.epoch,
@@ -2514,7 +2503,7 @@ impl<'a> NodeIo<'a> {
             );
         }
         let decode_timer = sampled.then(Instant::now);
-        let (from, mut msg) = match wire::decode_payload(self.router.codec, payload, &mut self.dict)
+        let (from, mut msg) = match wire::decode_payload(WireCodec::Binary, payload, &mut self.dict)
         {
             Ok(Some(decoded)) => decoded,
             // Connection control (a dictionary update): nothing to feed.

@@ -8,26 +8,19 @@ use std::time::Duration;
 
 use layercake_event::{Advertisement, TypeRegistry};
 use layercake_overlay::{OverlayConfig, OverlaySim};
-use layercake_rt::{RtConfig, Runtime, TransportKind, WireCodec};
+use layercake_rt::{RtConfig, Runtime, TransportKind};
 use layercake_workload::{BiblioConfig, BiblioWorkload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn parity_case(levels: Vec<usize>, shards: usize, seed: u64) {
-    parity_case_on(levels, shards, seed, TransportKind::Mpsc, WireCodec::Binary);
+    parity_case_on(levels, shards, seed, TransportKind::Mpsc);
 }
 
-/// The parity contract is transport- and codec-invariant: the runtime
-/// must deliver the simulator's exact event set whether frames ride
-/// in-process channels or real loopback TCP sockets, and whether they
-/// carry the compact binary codec or the legacy JSON encoding.
-fn parity_case_on(
-    levels: Vec<usize>,
-    shards: usize,
-    seed: u64,
-    transport: TransportKind,
-    codec: WireCodec,
-) {
+/// The parity contract is transport-invariant: the runtime must deliver
+/// the simulator's exact event set whether frames ride in-process
+/// channels or real loopback TCP sockets.
+fn parity_case_on(levels: Vec<usize>, shards: usize, seed: u64, transport: TransportKind) {
     let mut registry = TypeRegistry::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let workload = BiblioWorkload::new(
@@ -71,7 +64,6 @@ fn parity_case_on(
     // Same protocol run under real threads and framed wire messages.
     let mut cfg = RtConfig::new(overlay, shards);
     cfg.transport = transport;
-    cfg.codec = codec;
     let mut rt = Runtime::start(cfg, registry).unwrap();
     rt.advertise(adv);
     let mut rt_handles = Vec::new();
@@ -157,15 +149,15 @@ fn deep_hierarchy_sharded_matches_sim() {
 
 #[test]
 fn hierarchy_sharded_matches_sim_over_loopback_tcp() {
-    parity_case_on(vec![4, 1], 2, 0x7C9, TransportKind::Tcp, WireCodec::Binary);
+    parity_case_on(vec![4, 1], 2, 0x7C9, TransportKind::Tcp);
 }
 
 #[test]
 fn single_broker_matches_sim_over_loopback_tcp() {
-    parity_case_on(vec![1], 1, 0x7CA, TransportKind::Tcp, WireCodec::Binary);
+    parity_case_on(vec![1], 1, 0x7CA, TransportKind::Tcp);
 }
 
 #[test]
-fn hierarchy_matches_sim_with_json_codec() {
-    parity_case_on(vec![4, 1], 2, 0x15D, TransportKind::Mpsc, WireCodec::Json);
+fn hierarchy_two_shards_matches_sim() {
+    parity_case(vec![4, 1], 2, 0x15D);
 }
